@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,15 +61,19 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _parse_fps(text: str) -> tuple[int, int]:
-    if "/" in text:
-        num, den = text.split("/", 1)
+    try:
+        num, den = text.split("/", 1) if "/" in text else (text, 1)
         return int(num), int(den)
-    return int(text), 1
+    except ValueError:
+        raise UsageError(f"frame rate {text!r} is not N or N/D") from None
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    w, h = text.lower().split("x", 1)
-    return int(w), int(h)
+    try:
+        w, h = text.lower().split("x", 1)
+        return int(w), int(h)
+    except ValueError:
+        raise UsageError(f"resolution {text!r} is not WIDTHxHEIGHT") from None
 
 
 def _parse_raw_geometry(text: str, fps: tuple[int, int]) -> video_io.VideoGeometry:
@@ -168,20 +173,19 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
-    out = args.out
-    records = [(f.frame_index, args.qp, forest.predict(model, f, args.qp)) for f in rows]
-    if out:
-        with open(out, "w", newline="") as fh:
+    bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
+    records = [[f.frame_index, args.qp, f"{b:.9g}"] for f, b in zip(rows, bits)]
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["frame_index", "q", "b_hat"])
-            for idx, q, b in records:
-                writer.writerow([idx, q, f"{b:.9g}"])
-        _write_manifest(out, "predict",
+            writer.writerows(records)
+        _write_manifest(args.out, "predict",
                         inputs={"model": args.model, "features": args.features},
                         config={"qp": args.qp}, seeds={})
     else:
-        for idx, q, b in records:
-            print(f"{idx},{q},{b:.9g}")
+        for rec in records:
+            print(*rec, sep=",")
     return EXIT_OK
 
 
@@ -223,7 +227,8 @@ def cmd_rc(args) -> int:
     )
 
     if args.first_pass == "noise":
-        records = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
+        noise = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
+        records = [replace(r, frame_index=f.frame_index) for r, f in zip(noise, rows)]
     else:
         if not args.model:
             raise UsageError("either --model or --first-pass noise is required")
@@ -241,7 +246,7 @@ def cmd_rc(args) -> int:
         raise UsageError(f"unknown encoder backend {args.encoder!r}")
 
     decisions, summary = rc.run_second_pass(records, encoder, cfg)
-    rc.write_trace_csv(args.trace, decisions, cfg.frame_budget)
+    rc.write_trace_csv(args.trace, decisions)
     if args.report:
         _write_json(args.report, summary)
     _write_manifest(
@@ -357,9 +362,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except metrics.OverlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (video_io.VideoFormatError, forest.ModelFormatError,
             rc.EncoderError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,6 +151,9 @@ def read_features_csv(path: str) -> list[FrameFeatures]:
             raise ValueError(f"{path}: expected header {','.join(FEATURE_CSV_HEADER)}")
         rows = []
         for rec in reader:
+            if len(rec) < len(FEATURE_CSV_HEADER):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                 f"expected {len(FEATURE_CSV_HEADER)}")
             idx = int(rec[0])
             e_y, l_y, e_u, l_u, e_v, l_v = (float(v) for v in rec[1:7])
             rows.append(FrameFeatures(e_y, l_y, e_u, l_u, e_v, l_v, frame_index=idx))

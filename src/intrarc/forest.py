@@ -97,6 +97,10 @@ class ForestModel:
     feature_max: np.ndarray
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The forest as a batched predictor: (n, 7) `[features | QP]` -> bits."""
+        return predict_batch(self, X)
+
 
 class _TreeBuilder:
     """Accumulates nodes of one tree during growth."""
@@ -198,14 +202,17 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
+def feature_matrix(features: Sequence[FrameFeatures], q) -> np.ndarray:
+    """The (n, 7) `[features | QP]` matrix; `q` is one QP or one per row."""
+    qs = np.broadcast_to(np.asarray(q, dtype=np.float64), (len(features),))
+    if ((qs < 0) | (qs > QP_MAX)).any():
+        raise ValueError(f"q={q} outside [0, {QP_MAX}]")
+    return np.column_stack([np.reshape([f.as_array() for f in features], (-1, 6)), qs])
+
+
 def samples_to_arrays(samples: Sequence[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.empty((len(samples), N_FEATURES))
-    y = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        X[i, :6] = s.features.as_array()
-        X[i, 6] = float(s.q)
-        y[i] = float(s.bits)
-    return X, y
+    X = feature_matrix([s.features for s in samples], [s.q for s in samples])
+    return X, np.array([float(s.bits) for s in samples])
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray,
@@ -256,11 +263,13 @@ def train(samples: Sequence[TrainingSample],
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Mean over trees of the leaf values reached by each row of X."""
+    """Mean over trees of the leaf values reached by each row of X, clipped
+    to the range of those leaf values so that rounding cannot leave it."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rows = np.arange(X.shape[0])
+    leaves = np.empty((len(model.trees), X.shape[0]))
     total = np.zeros(X.shape[0])
-    for tree in model.trees:
+    for t, tree in enumerate(model.trees):
         idx = np.zeros(X.shape[0], dtype=np.int32)
         for _ in range(model.hyperparams.max_depth):
             feat = tree.feature[idx]
@@ -270,18 +279,14 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
             go_left = X[rows, np.where(active, feat, 0)] <= tree.threshold[idx]
             nxt = np.where(go_left, tree.left[idx], tree.right[idx])
             idx = np.where(active, nxt, idx)
-        total += tree.value[idx]
-    return total / len(model.trees)
+        leaves[t] = tree.value[idx]
+        total += leaves[t]
+    return np.clip(total / len(model.trees), leaves.min(axis=0), leaves.max(axis=0))
 
 
 def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:
     """Predicted frame bits for one feature vector at QP q."""
-    if not 0 <= q <= QP_MAX:
-        raise ValueError(f"q={q} outside [0, {QP_MAX}]")
-    x = np.empty(N_FEATURES)
-    x[:6] = features.as_array()
-    x[6] = float(q)
-    return float(predict_batch(model, x[None, :])[0])
+    return float(predict_batch(model, feature_matrix([features], q))[0])
 
 
 @dataclass(frozen=True)
@@ -417,7 +422,12 @@ def read_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         if missing:
             raise ValueError(f"{path}: missing column {missing[0]!r}")
         cols = [header.index(c) for c in TRAINING_CSV_HEADER[1:]]
-        rows = [[float(rec[c]) for c in cols] for rec in reader]
+        rows = []
+        for rec in reader:
+            if len(rec) < len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                 f"expected {len(header)}")
+            rows.append([float(rec[c]) for c in cols])
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows)

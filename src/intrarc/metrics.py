@@ -1,4 +1,4 @@
-"""Evaluation metrics: PSNR, component-weighted PSNR, BD-rate, deviation.
+"""Evaluation metrics: PSNR, component-weighted PSNR, BD-rate.
 
 BD-rate interpolates both curves as log10(rate) over PSNR with a
 monotone piecewise cubic (PCHIP), integrates the difference exactly
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -113,16 +113,6 @@ def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
         "psnr_overlap": [lo, hi],
         "method": BD_METHOD,
     }
-
-
-def bitrate_deviation(trace: Sequence, cfg) -> float:
-    """Relative budget error of a decision trace, in percent."""
-    if not trace:
-        raise ValueError("empty trace")
-    b_base = cfg.frame_budget
-    total = math.fsum(d.actual_bits for d in trace)
-    n = len(trace)
-    return 100.0 * (total - n * b_base) / (n * b_base)
 
 
 def write_rd_csv(path: str, curve: RdCurve) -> None:

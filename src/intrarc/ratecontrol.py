@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from intrarc.features import FrameFeatures
+from intrarc.forest import feature_matrix
 from intrarc.video_io import VideoGeometry
 
 TRACE_CSV_HEADER = ["frame_index", "q_p", "b_hat", "b_prime", "q_bar", "q_prime",
@@ -60,21 +61,21 @@ class RcConfig:
     resolution: VideoGeometry
     fps_den: int = 1
     c_low: float = 1.0
-    q_start: int = 24
     first_pass_qp: int = 32
     deficit_gain: float = 0.5   # fraction of the deficit recovered per frame
-    qp_min: int = 0
-    qp_max: int = 63
+    q_start: ClassVar[int] = 24
+    qp_min: ClassVar[int] = 0
+    qp_max: ClassVar[int] = 63
 
     def __post_init__(self):
-        if self.target_bitrate <= 0:
-            raise ValueError("target_bitrate must be positive")
+        if not (math.isfinite(self.target_bitrate) and self.target_bitrate > 0):
+            raise ValueError("target_bitrate must be finite and positive")
+        if not math.isfinite(self.c_low):
+            raise ValueError("c_low must be finite")
         if self.fps_num <= 0 or self.fps_den <= 0:
             raise ValueError("frame rate must be positive")
         if not 0.0 < self.deficit_gain <= 1.0:
             raise ValueError("deficit_gain must be in (0, 1]")
-        if not 0 <= self.qp_min <= self.qp_max <= 63:
-            raise ValueError("require 0 <= qp_min <= qp_max <= 63")
         if not 0 <= self.first_pass_qp <= 63:
             raise ValueError("first_pass_qp outside [0, 63]")
 
@@ -88,19 +89,6 @@ class RcConfig:
         return f"{self.fps_num}/{self.fps_den}"
 
 
-@dataclass
-class RcState:
-    """Mutable accumulator owned by one second-pass run."""
-
-    b_base: float
-    deficit: float = 0.0
-    frames_done: int = 0
-
-    @classmethod
-    def initial(cls, cfg: RcConfig) -> "RcState":
-        return cls(b_base=cfg.frame_budget)
-
-
 @dataclass(frozen=True)
 class FrameDecision:
     frame_index: int
@@ -110,6 +98,7 @@ class FrameDecision:
     q_bar_p: float
     q_prime_p: int
     actual_bits: float | None = None
+    deficit: float | None = None   # running deficit after this frame's spend
 
 
 def _round_half_away(x: float) -> int:
@@ -130,22 +119,14 @@ def build_first_pass(features: Sequence[FrameFeatures], model,
                      cfg: RcConfig) -> list[FirstPassRecord]:
     """Predict bits for every frame at the configured first-pass QP.
 
-    `model` is either a trained ForestModel or any callable
-    (features, q) -> bits; predictions are floored at 1.
+    `model` is a batched predictor mapping the (n, 7) `[features | QP]`
+    matrix to n bit counts, such as a trained ForestModel; predictions
+    are floored at 1.
     """
     if not features:
         raise ValueError("no frames to build a first pass for")
     q = cfg.first_pass_qp
-    if callable(model):
-        preds = [float(model(f, q)) for f in features]
-    else:
-        from intrarc.forest import predict_batch
-
-        X = np.empty((len(features), 7))
-        for i, f in enumerate(features):
-            X[i, :6] = f.as_array()
-            X[i, 6] = float(q)
-        preds = predict_batch(model, X).tolist()
+    preds = np.asarray(model(feature_matrix(features, q)), dtype=np.float64).tolist()
     return [
         FirstPassRecord(frame_index=f.frame_index, q_p=q, b_hat_p=max(1.0, b))
         for f, b in zip(features, preds)
@@ -170,9 +151,9 @@ def build_noise_first_pass(n_frames: int, cfg: RcConfig, seed: int = 0) -> list[
     ]
 
 
-def compute_target_bits(state: RcState, cfg: RcConfig) -> float:
+def compute_target_bits(deficit: float, cfg: RcConfig) -> float:
     """Bit target for the next frame: base budget minus a deficit share."""
-    return max(1.0, state.b_base - cfg.deficit_gain * state.deficit)
+    return max(1.0, cfg.frame_budget - cfg.deficit_gain * deficit)
 
 
 def map_qp(record: FirstPassRecord, b_prime: float, cfg: RcConfig) -> tuple[float, int]:
@@ -195,10 +176,11 @@ def run_second_pass(records: Sequence[FirstPassRecord],
     """
     if not records:
         raise ValueError("no first-pass records")
-    state = RcState.initial(cfg)
+    b_base = cfg.frame_budget
+    deficit = 0.0
     decisions: list[FrameDecision] = []
     for rec in records:
-        b_prime = compute_target_bits(state, cfg)
+        b_prime = compute_target_bits(deficit, cfg)
         q_bar, q_prime = map_qp(rec, b_prime, cfg)
         pending = FrameDecision(
             frame_index=rec.frame_index, q_p=rec.q_p, b_hat_p=rec.b_hat_p,
@@ -210,32 +192,29 @@ def run_second_pass(records: Sequence[FirstPassRecord],
             raise EncoderError(
                 f"encoder failed at frame {rec.frame_index}: {exc}", decisions
             ) from exc
-        decisions.append(replace(pending, actual_bits=actual))
-        state.deficit += actual - state.b_base
-        state.frames_done += 1
+        deficit += actual - b_base
+        decisions.append(replace(pending, actual_bits=actual, deficit=deficit))
     total_bits = math.fsum(d.actual_bits for d in decisions)
     n = len(decisions)
     summary = {
         "target_bitrate": cfg.target_bitrate,
         "fps": cfg.fps_text,
         "total_bits": total_bits,
-        "bitrate_deviation": (total_bits - n * state.b_base) / (n * state.b_base),
+        "bitrate_deviation": (total_bits - n * b_base) / (n * b_base),
         "mean_qp": math.fsum(d.q_prime_p for d in decisions) / n,
     }
     return decisions, summary
 
 
-def write_trace_csv(path: str, decisions: Iterable[FrameDecision], b_base: float) -> None:
-    """Per-frame trace with the running deficit recomputed alongside."""
-    deficit = 0.0
+def write_trace_csv(path: str, decisions: Iterable[FrameDecision]) -> None:
+    """Per-frame trace: one row per decision, ending in its running deficit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_CSV_HEADER)
         for d in decisions:
-            deficit += d.actual_bits - b_base
             writer.writerow([
                 d.frame_index, d.q_p, f"{d.b_hat_p:.9g}", f"{d.b_prime_p:.9g}",
-                f"{d.q_bar_p:.9g}", d.q_prime_p, f"{d.actual_bits:.9g}", f"{deficit:.9g}",
+                f"{d.q_bar_p:.9g}", d.q_prime_p, f"{d.actual_bits:.9g}", f"{d.deficit:.9g}",
             ])
 
 
@@ -250,6 +229,6 @@ def read_trace_csv(path: str) -> list[FrameDecision]:
             out.append(FrameDecision(
                 frame_index=int(rec[0]), q_p=int(rec[1]), b_hat_p=float(rec[2]),
                 b_prime_p=float(rec[3]), q_bar_p=float(rec[4]), q_prime_p=int(rec[5]),
-                actual_bits=float(rec[6]),
+                actual_bits=float(rec[6]), deficit=float(rec[7]),
             ))
     return out

@@ -39,9 +39,13 @@ class SimParams:
             raise ValueError("noise_sigma must be >= 0")
 
 
+def _rate_law(e_y, q, pixels: int, params: SimParams):
+    return params.kappa * pixels * (0.01 + e_y) ** params.gamma * 2.0 ** (-q / params.delta)
+
+
 def expected_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) -> float:
     """Noiseless, unrounded rate law; the oracle predictor."""
-    return params.kappa * pixels * (0.01 + features.e_y) ** params.gamma * 2.0 ** (-q / params.delta)
+    return _rate_law(features.e_y, q, pixels, params)
 
 
 def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) -> int:
@@ -104,9 +108,9 @@ def make_encoder(features: list[FrameFeatures], pixels: int, params: SimParams):
 
 
 def make_oracle_predictor(pixels: int, params: SimParams):
-    """First-pass predictor with perfect knowledge of the noiseless rate law."""
+    """Batched first-pass predictor (n, 7) `[features | QP]` -> noiseless rate-law bits."""
 
-    def predict_fn(features: FrameFeatures, q: int) -> float:
-        return expected_bits(features, q, pixels, params)
+    def predict_fn(X: np.ndarray) -> np.ndarray:
+        return _rate_law(X[:, 0], X[:, 6], pixels, params)
 
     return predict_fn

@@ -94,6 +94,12 @@ class TestTrain:
         bad.write_text("frame_index,e_y,l_y\n0,0.5,0.5\n")
         assert run("train", "--data", bad, "--out", tmp_path / "m.ircf") == 3
 
+    def test_short_row_is_data_error(self, tmp_path, training_csv, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text(training_csv.read_text() + "7,0.5,0.5\n")
+        assert run("train", "--data", bad, "--out", tmp_path / "m.ircf") == 3
+        assert "line 602 has 3 fields" in capsys.readouterr().err
+
     def test_deterministic_model_bytes(self, tmp_path, training_csv):
         a = tmp_path / "a.ircf"
         b = tmp_path / "b.ircf"
@@ -207,6 +213,36 @@ class TestRc:
         code = run("rc", "--features", feats_path, "--bitrate", 1e6,
                    "--resolution", "1920x1080", "--trace", tmp_path / "t.csv")
         assert code == 2
+
+    def test_noise_first_pass_keeps_feature_indices(self, tmp_path):
+        feats = sim.random_features(20, np.random.default_rng(3), start_index=5)
+        feats_path = tmp_path / "features.csv"
+        feat.write_features_csv(str(feats_path), feats)
+        trace = tmp_path / "trace.csv"
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", self._target(feats, 30, 1920 * 1080),
+                   "--resolution", "1920x1080", "--trace", trace) == 0
+        from intrarc import ratecontrol as rc_mod
+        assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 25))
+
+    def test_nan_bitrate_is_data_error(self, tmp_path, capsys):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", "nan", "--resolution", "1920x1080",
+                   "--trace", tmp_path / "t.csv") == 3
+        assert "target_bitrate" in capsys.readouterr().err
+
+    def test_bad_resolution_is_usage_error(self, tmp_path):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "12x",
+                   "--trace", tmp_path / "t.csv") == 2
+
+    def test_bad_fps_is_usage_error(self, tmp_path):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--fps", "abc", "--resolution", "1920x1080",
+                   "--trace", tmp_path / "t.csv") == 2
 
     def test_rc_deterministic_outputs(self, tmp_path):
         feats_path, feats = _features_csv(tmp_path, n=30)

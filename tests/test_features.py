@@ -169,6 +169,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             feat.read_features_csv(str(path))
 
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("frame_index,e_y,l_y,e_u,l_u,e_v,l_v\n0,1,1,1,1,1,1\n1,1,1,1\n")
+        with pytest.raises(ValueError, match="line 3 has 4 fields, expected 7"):
+            feat.read_features_csv(str(path))
+
 
 @settings(max_examples=20, deadline=None)
 @given(value=st.integers(min_value=0, max_value=255))

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intrarc import forest
 from intrarc import simulator as sim
@@ -140,22 +140,24 @@ class TestPredict:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_prediction_bounded_by_targets(data):
-    n = data.draw(st.integers(min_value=2, max_value=30))
-    bits = data.draw(st.lists(st.floats(min_value=1.0, max_value=1e9),
-                              min_size=n, max_size=n))
-    qs = data.draw(st.lists(st.integers(min_value=0, max_value=63),
-                            min_size=n, max_size=n))
-    e = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                           min_size=n, max_size=n))
+@given(
+    rows=st.lists(st.tuples(st.floats(min_value=1.0, max_value=1e9),
+                            st.integers(min_value=0, max_value=63),
+                            st.floats(min_value=0.0, max_value=1.0)),
+                  min_size=2, max_size=30),
+    probe_q=st.integers(min_value=0, max_value=63),
+    probe_e=st.floats(min_value=0.0, max_value=1.0),
+)
+# the mean of five leaves rounded one ulp above the largest target
+@example(rows=[(1.0, 0, 0.0), (858993460.1620765, 0, 1.0), (1.0, 0, 0.0), (1.0, 0, 0.0)],
+         probe_q=0, probe_e=1.0)
+def test_prediction_bounded_by_targets(rows, probe_q, probe_e):
+    bits = [b for b, _, _ in rows]
     samples = [
-        forest.TrainingSample(FrameFeatures(e[i], 0.5, 0.2, 0.5, 0.2, 0.5, i), qs[i], bits[i])
-        for i in range(n)
+        forest.TrainingSample(FrameFeatures(e, 0.5, 0.2, 0.5, 0.2, 0.5, i), q, b)
+        for i, (b, q, e) in enumerate(rows)
     ]
     model = forest.train(samples, forest.ForestHyperparams(n_estimators=5, max_depth=6))
-    probe_q = data.draw(st.integers(min_value=0, max_value=63))
-    probe_e = data.draw(st.floats(min_value=0.0, max_value=1.0))
     pred = forest.predict(model, FrameFeatures(probe_e, 0.5, 0.2, 0.5, 0.2, 0.5, 0), probe_q)
     assert min(bits) - 1e-9 <= pred <= max(bits) + 1e-9
 

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intrarc import metrics
-from intrarc import ratecontrol as rc
 from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
-from intrarc.video_io import VideoGeometry
 
 F = FrameFeatures(0.5, 0.5, 0.3, 0.5, 0.3, 0.5, 0)
 
@@ -123,28 +121,3 @@ def test_bd_rate_of_uniform_scaling(scale):
     anchor = sim_curve()
     test = sim_curve(scale=scale)
     assert metrics.bd_rate(anchor, test) == pytest.approx(100.0 * (scale - 1.0), abs=1e-9)
-
-
-class TestBitrateDeviation:
-    def _cfg(self, budget):
-        return rc.RcConfig(target_bitrate=budget * 30, fps_num=30,
-                           resolution=VideoGeometry(3840, 2160))
-
-    def _decision(self, i, bits):
-        return rc.FrameDecision(frame_index=i, q_p=32, b_hat_p=1.0, b_prime_p=1.0,
-                                q_bar_p=32.0, q_prime_p=32, actual_bits=bits)
-
-    def test_exact_budget_zero(self):
-        cfg = self._cfg(1000.0)
-        trace = [self._decision(i, 1000.0) for i in range(10)]
-        assert metrics.bitrate_deviation(trace, cfg) == 0.0
-
-    def test_one_double_frame_among_hundred(self):
-        cfg = self._cfg(1000.0)
-        trace = [self._decision(i, 1000.0) for i in range(99)]
-        trace.append(self._decision(99, 2000.0))
-        assert metrics.bitrate_deviation(trace, cfg) == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_trace_error(self):
-        with pytest.raises(ValueError, match="empty"):
-            metrics.bitrate_deviation([], self._cfg(1000.0))

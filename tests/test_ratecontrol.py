@@ -111,8 +111,7 @@ def test_smaller_target_never_lowers_qp(q_p, b_hat, ratio_lo, shrink):
     ratio=st.floats(min_value=0.01, max_value=100.0),
 )
 def test_correction_never_lowers_qp(q_p, b_hat, ratio):
-    cfg = rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_1080,
-                      qp_min=0, qp_max=63)
+    cfg = rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_1080)
     rec = rc.FirstPassRecord(0, q_p, b_hat)
     q_bar, q_prime = rc.map_qp(rec, b_hat * ratio, cfg)
     rounded = int(math.floor(q_bar + 0.5)) if q_bar >= 0 else int(math.ceil(q_bar - 0.5))
@@ -134,37 +133,44 @@ def test_identity_exact_above_q_start():
 class TestTargetBits:
     def test_zero_deficit(self):
         cfg = cfg_4k()
-        state = rc.RcState.initial(cfg)
-        assert rc.compute_target_bits(state, cfg) == cfg.frame_budget
+        assert rc.compute_target_bits(0.0, cfg) == cfg.frame_budget
 
     def test_stated_law(self):
         cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K,
                           deficit_gain=0.5)
-        state = rc.RcState(b_base=10_000.0, deficit=4_000.0)
-        assert rc.compute_target_bits(state, cfg) == 8_000.0
+        assert cfg.frame_budget == 10_000.0
+        assert rc.compute_target_bits(4_000.0, cfg) == 8_000.0
 
     def test_floor_at_one(self):
         cfg = rc.RcConfig(target_bitrate=3_000.0, fps_num=30, resolution=RES_4K,
                           deficit_gain=1.0)
-        state = rc.RcState(b_base=100.0, deficit=1e9)
-        assert rc.compute_target_bits(state, cfg) == 1.0
+        assert cfg.frame_budget == 100.0
+        assert rc.compute_target_bits(1e9, cfg) == 1.0
 
 
 class TestFirstPass:
     def test_constant_model(self):
         cfg = cfg_4k()
         feats = [FrameFeatures(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, i) for i in range(3)]
-        records = rc.build_first_pass(feats, lambda f, q: 1000.0, cfg)
+        calls = []
+
+        def model(X):
+            calls.append(X.copy())
+            return np.full(len(X), 1000.0)
+
+        records = rc.build_first_pass(feats, model, cfg)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.full((3, 7), [0.5] * 6 + [32.0]))
         assert [r.frame_index for r in records] == [0, 1, 2]
         assert all(r.q_p == 32 and r.b_hat_p == 1000.0 for r in records)
 
     def test_empty_features_error(self):
         with pytest.raises(ValueError, match="no frames"):
-            rc.build_first_pass([], lambda f, q: 1.0, cfg_4k())
+            rc.build_first_pass([], lambda X: np.ones(len(X)), cfg_4k())
 
     def test_prediction_floored_at_one(self):
         records = rc.build_first_pass(
-            [FrameFeatures(0, 0, 0, 0, 0, 0, 0)], lambda f, q: 0.001, cfg_4k()
+            [FrameFeatures(0, 0, 0, 0, 0, 0, 0)], lambda X: np.full(len(X), 0.001), cfg_4k()
         )
         assert records[0].b_hat_p == 1.0
 
@@ -279,7 +285,7 @@ class TestSecondPass:
         assert "frame 3" in str(err.value)
 
     def test_empty_records_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no first-pass records"):
             rc.run_second_pass([], lambda d: 1.0, cfg_4k())
 
     def test_closed_loop_with_oracle_within_one_percent(self, rng):
@@ -291,6 +297,28 @@ class TestSecondPass:
         records = rc.build_first_pass(feats, sim.make_oracle_predictor(pixels, params), cfg)
         _, summary = rc.run_second_pass(records, sim.make_encoder(feats, pixels, params), cfg)
         assert abs(summary["bitrate_deviation"]) <= 0.01
+
+
+class TestSummary:
+    """The summary's bitrate_deviation is a fraction of the budget."""
+
+    def _cfg(self, budget):
+        return rc.RcConfig(target_bitrate=budget * 30, fps_num=30, resolution=RES_4K)
+
+    def test_exact_budget_zero(self):
+        cfg = self._cfg(1000.0)
+        records = [rc.FirstPassRecord(i, 32, 1000.0) for i in range(10)]
+        decisions, summary = rc.run_second_pass(records, lambda d: 1000.0, cfg)
+        assert summary["bitrate_deviation"] == 0.0
+        assert [d.deficit for d in decisions] == [0.0] * 10
+
+    def test_one_double_frame_among_hundred(self):
+        cfg = self._cfg(1000.0)
+        records = [rc.FirstPassRecord(i, 32, 1000.0) for i in range(100)]
+        spend = lambda d: 2000.0 if d.frame_index == 99 else 1000.0
+        decisions, summary = rc.run_second_pass(records, spend, cfg)
+        assert summary["bitrate_deviation"] == pytest.approx(0.01, abs=1e-14)
+        assert decisions[-1].deficit == 1000.0
 
 
 class TestTraceCsv:
@@ -305,7 +333,7 @@ class TestTraceCsv:
             records, sim.make_encoder(feats, RES_4K.pixels, params), cfg
         )
         path = tmp_path / "trace.csv"
-        rc.write_trace_csv(str(path), decisions, cfg.frame_budget)
+        rc.write_trace_csv(str(path), decisions)
         header = path.read_text().splitlines()[0]
         assert header == "frame_index,q_p,b_hat,b_prime,q_bar,q_prime,actual_bits,deficit"
         back = rc.read_trace_csv(str(path))
@@ -314,6 +342,7 @@ class TestTraceCsv:
             assert a.frame_index == b.frame_index
             assert a.q_prime_p == b.q_prime_p
             assert b.actual_bits == pytest.approx(a.actual_bits, rel=1e-8)
+            assert b.deficit == pytest.approx(a.deficit, rel=1e-8, abs=1e-3)
 
 
 class TestConfigValidation:
@@ -322,8 +351,14 @@ class TestConfigValidation:
             rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_4K, deficit_gain=0.0)
 
     def test_bad_bitrate(self):
-        with pytest.raises(ValueError):
-            rc.RcConfig(target_bitrate=0.0, fps_num=30, resolution=RES_4K)
+        for bitrate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rc.RcConfig(target_bitrate=bitrate, fps_num=30, resolution=RES_4K)
+
+    def test_non_finite_c_low(self):
+        for c_low in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_low"):
+                rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_4K, c_low=c_low)
 
     def test_frame_budget_rational_fps(self):
         cfg = rc.RcConfig(target_bitrate=30_000.0, fps_num=30000, fps_den=1001,
