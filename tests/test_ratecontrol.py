@@ -320,6 +320,17 @@ class TestSummary:
         assert summary["bitrate_deviation"] == pytest.approx(0.01, abs=1e-14)
         assert decisions[-1].deficit == 1000.0
 
+    def test_empty_trace_error(self):
+        calls = []
+
+        def encoder(decision):
+            calls.append(decision)
+            return 1000.0
+
+        with pytest.raises(ValueError, match="no first-pass records"):
+            rc.run_second_pass([], encoder, self._cfg(1000.0))
+        assert calls == []
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path, rng):
