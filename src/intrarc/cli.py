@@ -189,7 +189,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _log_encoder(path: str, n_frames: int):
+def _log_encoder(path: str, frame_indices: set[int]):
     """Encoder backed by an external per-(frame, q) bits table."""
     table: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
@@ -198,12 +198,15 @@ def _log_encoder(path: str, n_frames: int):
         if header != ["frame_index", "q", "bits"]:
             raise ValueError(f"{path}: expected header frame_index,q,bits")
         for rec in reader:
+            if len(rec) < len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                 f"expected {len(header)}")
             table[(int(rec[0]), int(rec[1]))] = float(rec[2])
     logged_frames = {f for f, _ in table}
-    if logged_frames != set(range(n_frames)):
-        raise ValueError(
-            f"{path}: log covers {len(logged_frames)} frames, features have {n_frames}"
-        )
+    if logged_frames != frame_indices:
+        odd = min(logged_frames ^ frame_indices)
+        side = "log" if odd in logged_frames else "features"
+        raise ValueError(f"{path}: frame {odd} appears only in the {side}")
 
     def encode(decision) -> float:
         key = (decision.frame_index, decision.q_prime_p)
@@ -241,7 +244,7 @@ def cmd_rc(args) -> int:
     if args.encoder == "sim":
         encoder = sim.make_encoder(rows, resolution.pixels, sim_params)
     elif args.encoder.startswith("log:"):
-        encoder = _log_encoder(args.encoder[4:], len(rows))
+        encoder = _log_encoder(args.encoder[4:], {f.frame_index for f in rows})
     else:
         raise UsageError(f"unknown encoder backend {args.encoder!r}")
 

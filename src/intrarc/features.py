@@ -144,6 +144,7 @@ def write_features_csv(path: str, rows: Iterable[FrameFeatures]) -> None:
 
 
 def read_features_csv(path: str) -> list[FrameFeatures]:
+    """Rows with finite, non-negative values and strictly increasing frame indices."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -155,6 +156,12 @@ def read_features_csv(path: str) -> list[FrameFeatures]:
                 raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
                                  f"expected {len(FEATURE_CSV_HEADER)}")
             idx = int(rec[0])
-            e_y, l_y, e_u, l_u, e_v, l_v = (float(v) for v in rec[1:7])
-            rows.append(FrameFeatures(e_y, l_y, e_u, l_u, e_v, l_v, frame_index=idx))
+            values = [float(v) for v in rec[1:7]]
+            if not all(math.isfinite(v) and v >= 0 for v in values):
+                raise ValueError(f"{path}: line {reader.line_num} has a non-finite "
+                                 "or negative feature value")
+            if rows and idx <= rows[-1].frame_index:
+                raise ValueError(f"{path}: line {reader.line_num} has frame_index {idx}, "
+                                 f"not above the previous {rows[-1].frame_index}")
+            rows.append(FrameFeatures(*values, frame_index=idx))
     return rows

@@ -9,8 +9,10 @@ lowest feature index, then the lowest threshold. Leaves store the mean
 target of their samples.
 
 Models serialize to a compact little-endian binary: magic "IRCF", a
-format version, the hyperparameters, flattened per-tree node arrays,
-and a trailing CRC-32.
+format version, the hyperparameters, the training feature range, per
+tree the node features and then only the fields prediction and
+importance read (split nodes: threshold, left child, gain; leaves:
+value), and a trailing CRC-32.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ QP_MAX = 63
 TRAINING_CSV_HEADER = ["frame_index", "e_y", "l_y", "e_u", "l_u", "e_v", "l_v", "q", "bits"]
 
 _MAGIC = b"IRCF"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sIIIIIqIQ")
 
 
 class ModelFormatError(Exception):
@@ -74,14 +77,17 @@ class TrainingSample:
 
 @dataclass
 class Tree:
-    """Flattened binary tree; feature < 0 marks a leaf."""
+    """Flattened binary tree; feature < 0 marks a leaf.
 
-    feature: np.ndarray    # int32, split feature index or -1
-    threshold: np.ndarray  # float64, go left iff x[feature] <= threshold
-    left: np.ndarray       # int32 child slots
-    right: np.ndarray
-    value: np.ndarray      # float64 node mean (the prediction at leaves)
-    gain: np.ndarray       # float64 SSE reduction of the split, 0 at leaves
+    A split node's children sit at slots `left` and `left + 1`, both
+    after the node itself.
+    """
+
+    feature: np.ndarray    # int8, split feature index or -1
+    threshold: np.ndarray  # float64, go left iff x[feature] <= threshold; 0 at leaves
+    left: np.ndarray       # int32 slot of the left child; -1 at leaves
+    value: np.ndarray      # float64 mean target at leaves; 0 at split nodes
+    gain: np.ndarray       # float64 SSE reduction of the split; 0 at leaves
 
     @property
     def n_nodes(self) -> int:
@@ -95,43 +101,10 @@ class ForestModel:
     n_samples: int
     feature_min: np.ndarray
     feature_max: np.ndarray
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """The forest as a batched predictor: (n, 7) `[features | QP]` -> bits."""
         return predict_batch(self, X)
-
-
-class _TreeBuilder:
-    """Accumulates nodes of one tree during growth."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.gain: list[float] = []
-
-    def new_node(self, value: float) -> int:
-        slot = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        self.gain.append(0.0)
-        return slot
-
-    def finish(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-            gain=np.asarray(self.gain, dtype=np.float64),
-        )
 
 
 def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
@@ -165,37 +138,38 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams,
                rng: np.random.Generator) -> Tree:
-    nodes = _TreeBuilder()
-    root = nodes.new_node(float(y.mean()))
-    stack = [(np.arange(y.size), 0, root)]
+    # A tree has at most one leaf per sample and 2**max_depth leaves.
+    cap = min(2 * y.size - 1, 2 ** (hp.max_depth + 1) - 1)
+    feature = np.full(cap, -1, dtype=np.int8)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int32)
+    value = np.zeros(cap)
+    gain = np.zeros(cap)
+    n_nodes = 1
+    stack = [(np.arange(y.size), 0, 0)]
     subset = hp.max_features < N_FEATURES
     while stack:
         idx, depth, slot = stack.pop()
         yn = y[idx]
-        nodes.value[slot] = float(yn.mean())
-        if depth >= hp.max_depth or idx.size < hp.min_samples_split:
-            continue
-        if yn.max() == yn.min():
-            continue
-        if subset:
-            cand = np.sort(rng.choice(N_FEATURES, size=hp.max_features, replace=False))
-        else:
-            cand = np.arange(N_FEATURES)
-        found = _best_split(X[np.ix_(idx, cand)], yn, hp.min_samples_leaf)
+        found = None
+        if depth < hp.max_depth and idx.size >= hp.min_samples_split and yn.max() != yn.min():
+            if subset:
+                cand = np.sort(rng.choice(N_FEATURES, size=hp.max_features, replace=False))
+            else:
+                cand = np.arange(N_FEATURES)
+            found = _best_split(X[np.ix_(idx, cand)], yn, hp.min_samples_leaf)
         if found is None:
+            value[slot] = yn.mean()
             continue
-        col, threshold, gain, order, p = found
-        nodes.feature[slot] = int(cand[col])
-        nodes.threshold[slot] = threshold
-        nodes.gain[slot] = gain
-        left_slot = nodes.new_node(0.0)
-        right_slot = nodes.new_node(0.0)
-        nodes.left[slot] = left_slot
-        nodes.right[slot] = right_slot
+        col, thr, g, order, p = found
+        feature[slot], threshold[slot], gain[slot], left[slot] = cand[col], thr, g, n_nodes
         # LIFO: push right first so the left subtree is grown first.
-        stack.append((idx[order[p + 1:]], depth + 1, right_slot))
-        stack.append((idx[order[: p + 1]], depth + 1, left_slot))
-    return nodes.finish()
+        stack.append((idx[order[p + 1:]], depth + 1, n_nodes + 1))
+        stack.append((idx[order[: p + 1]], depth + 1, n_nodes))
+        n_nodes += 2
+    return Tree(feature=feature[:n_nodes].copy(), threshold=threshold[:n_nodes].copy(),
+                left=left[:n_nodes].copy(), value=value[:n_nodes].copy(),
+                gain=gain[:n_nodes].copy())
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -277,8 +251,7 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
             if not active.any():
                 break
             go_left = X[rows, np.where(active, feat, 0)] <= tree.threshold[idx]
-            nxt = np.where(go_left, tree.left[idx], tree.right[idx])
-            idx = np.where(active, nxt, idx)
+            idx = np.where(active, tree.left[idx] + ~go_left, idx)
         leaves[t] = tree.value[idx]
         total += leaves[t]
     return np.clip(total / len(model.trees), leaves.min(axis=0), leaves.max(axis=0))
@@ -314,29 +287,22 @@ def importance(model: ForestModel) -> ImportanceResult:
     return ImportanceResult(weights=totals / s, has_splits=True)
 
 
-def _pack_header(model: ForestModel) -> bytes:
-    hp = model.hyperparams
-    return struct.pack(
-        "<4sIIIIIqIQ",
-        _MAGIC, _VERSION,
-        hp.n_estimators, hp.max_depth, hp.min_samples_leaf, hp.min_samples_split,
-        hp.seed, hp.max_features, model.n_samples,
-    )
-
-
 def save(model: ForestModel, path: str) -> int:
     """Serialize a model; returns the file size in bytes."""
-    chunks = [_pack_header(model)]
+    hp = model.hyperparams
+    chunks = [_HEADER.pack(_MAGIC, _VERSION, hp.n_estimators, hp.max_depth,
+                           hp.min_samples_leaf, hp.min_samples_split, hp.seed,
+                           hp.max_features, model.n_samples)]
     chunks.append(model.feature_min.astype("<f8").tobytes())
     chunks.append(model.feature_max.astype("<f8").tobytes())
     for tree in model.trees:
+        split = tree.feature >= 0
         chunks.append(struct.pack("<I", tree.n_nodes))
-        chunks.append(tree.feature.astype("<i4").tobytes())
-        chunks.append(tree.threshold.astype("<f8").tobytes())
-        chunks.append(tree.left.astype("<i4").tobytes())
-        chunks.append(tree.right.astype("<i4").tobytes())
-        chunks.append(tree.value.astype("<f8").tobytes())
-        chunks.append(tree.gain.astype("<f8").tobytes())
+        chunks.append(tree.feature.astype("<i1").tobytes())
+        chunks.append(tree.threshold[split].astype("<f8").tobytes())
+        chunks.append(tree.left[split].astype("<i4").tobytes())
+        chunks.append(tree.gain[split].astype("<f8").tobytes())
+        chunks.append(tree.value[~split].astype("<f8").tobytes())
     body = b"".join(chunks)
     blob = body + struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
@@ -361,40 +327,57 @@ class _Reader:
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
 
 
+def _read_tree(rd: _Reader) -> Tree:
+    """One tree's records, checked so that traversal stays inside the tree."""
+    (n_nodes,) = struct.unpack("<I", rd.take(4))
+    if n_nodes == 0:
+        raise ModelFormatError("tree with no nodes")
+    feature = rd.array("<i1", n_nodes)
+    if ((feature < -1) | (feature >= N_FEATURES)).any():
+        raise ModelFormatError(f"node feature outside [-1, {N_FEATURES - 1}]")
+    split = feature >= 0
+    slots = np.flatnonzero(split)
+    tree = Tree(feature=feature, threshold=np.zeros(n_nodes),
+                left=np.full(n_nodes, -1, dtype=np.int32),
+                value=np.zeros(n_nodes), gain=np.zeros(n_nodes))
+    tree.threshold[split] = rd.array("<f8", slots.size)
+    tree.left[split] = rd.array("<i4", slots.size)
+    tree.gain[split] = rd.array("<f8", slots.size)
+    tree.value[~split] = rd.array("<f8", n_nodes - slots.size)
+    if ((tree.left[split] <= slots) | (tree.left[split] >= n_nodes - 1)).any():
+        raise ModelFormatError("split node whose children are not later slots in its tree")
+    return tree
+
+
 def load(path: str) -> ForestModel:
-    """Read a model back; verifies magic, version and checksum."""
+    """Read a model back; verifies magic, version, checksum and tree structure."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != _MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    if len(blob) < struct.calcsize("<4sIIIIIqIQ") + 4:
+    if len(blob) < _HEADER.size + 4:
         raise ModelFormatError(f"{path}: truncated model file")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
     rd = _Reader(body)
-    magic, version, n_est, max_depth, msl, mss, seed, max_feat, n_samples = struct.unpack(
-        "<4sIIIIIqIQ", rd.take(struct.calcsize("<4sIIIIIqIQ"))
+    magic, version, n_est, max_depth, msl, mss, seed, max_feat, n_samples = _HEADER.unpack(
+        rd.take(_HEADER.size)
     )
     if version != _VERSION:
         raise ModelFormatError(f"{path}: format version {version}, expected {_VERSION}")
-    hp = ForestHyperparams(
-        n_estimators=n_est, max_depth=max_depth, min_samples_leaf=msl,
-        min_samples_split=mss, seed=seed, max_features=max_feat,
-    )
-    fmin = rd.array("<f8", N_FEATURES)
-    fmax = rd.array("<f8", N_FEATURES)
-    trees = []
-    for _ in range(n_est):
-        (n_nodes,) = struct.unpack("<I", rd.take(4))
-        trees.append(Tree(
-            feature=rd.array("<i4", n_nodes),
-            threshold=rd.array("<f8", n_nodes),
-            left=rd.array("<i4", n_nodes),
-            right=rd.array("<i4", n_nodes),
-            value=rd.array("<f8", n_nodes),
-            gain=rd.array("<f8", n_nodes),
-        ))
+    try:
+        hp = ForestHyperparams(
+            n_estimators=n_est, max_depth=max_depth, min_samples_leaf=msl,
+            min_samples_split=mss, seed=seed, max_features=max_feat,
+        )
+        fmin = rd.array("<f8", N_FEATURES)
+        fmax = rd.array("<f8", N_FEATURES)
+        trees = [_read_tree(rd) for _ in range(n_est)]
+    except (ValueError, ModelFormatError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+    if rd.pos != len(body):
+        raise ModelFormatError(f"{path}: {len(body) - rd.pos} trailing bytes after the last tree")
     return ForestModel(trees=trees, hyperparams=hp, n_samples=n_samples,
                        feature_min=fmin, feature_max=fmax)
 

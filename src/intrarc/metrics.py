@@ -129,5 +129,10 @@ def read_rd_csv(path: str) -> RdCurve:
         header = next(reader, None)
         if header != RD_CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(RD_CSV_HEADER)}")
-        pairs = [(float(rec[0]), float(rec[1])) for rec in reader]
+        pairs = []
+        for rec in reader:
+            if len(rec) < len(RD_CSV_HEADER):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                 f"expected {len(RD_CSV_HEADER)}")
+            pairs.append((float(rec[0]), float(rec[1])))
     return RdCurve.from_pairs(pairs)

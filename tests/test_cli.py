@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ class TestPredict:
         assert lines[0] == "frame_index,q,b_hat"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("offset, value, message", [
+        (4, 1, "format version 1, expected 2"),  # a v1 file
+        (44 + 2 * 7 * 8 + 4, 9, "feature outside [-1, 6]"),  # first node's feature
+    ])
+    def test_bad_model_file_is_data_error(self, tmp_path, training_csv, capsys,
+                                          offset, value, message):
+        model_path = tmp_path / "m.ircf"
+        assert run("train", "--data", training_csv, "--trees", 2, "--max-depth", 3,
+                   "--out", model_path) == 0
+        body = bytearray(model_path.read_bytes()[:-4])
+        body[offset] = value
+        model_path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+        feats_path, _ = _features_csv(tmp_path, n=3)
+        assert run("predict", "--model", model_path, "--features", feats_path,
+                   "--qp", 32) == 3
+        assert message in capsys.readouterr().err
+
 
 def _features_csv(tmp_path, n=40, seed=42):
     feats = sim.random_features(n, np.random.default_rng(seed))
@@ -200,6 +218,38 @@ class TestRc:
                    "--bitrate", 1e6, "--resolution", "1920x1080",
                    "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv")
         assert code == 3
+
+    def test_log_encoder_takes_indices_from_features(self, tmp_path):
+        feats = sim.random_features(6, np.random.default_rng(4), start_index=5)
+        feats_path = tmp_path / "features.csv"
+        feat.write_features_csv(str(feats_path), feats)
+        log = tmp_path / "log.csv"
+        log.write_text("frame_index,q,bits\n" + "".join(
+            f"{f.frame_index},{q},{1000 * (64 - q)}\n" for f in feats for q in range(64)))
+        trace = tmp_path / "t.csv"
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--encoder", f"log:{log}", "--trace", trace) == 0
+        from intrarc import ratecontrol as rc_mod
+        assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 11))
+
+    def test_log_encoder_short_row_names_line(self, tmp_path, capsys):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        log = tmp_path / "log.csv"
+        log.write_text("frame_index,q,bits\n0,32,1000\n7,3\n")
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
+        assert "line 3 has 2 fields, expected 3" in capsys.readouterr().err
+
+    def test_duplicate_frame_index_is_data_error(self, tmp_path, capsys):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        lines = feats_path.read_text().splitlines()
+        feats_path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--trace", tmp_path / "t.csv") == 3
+        assert "line 7 has frame_index 4, not above the previous 4" in capsys.readouterr().err
 
     def test_unknown_encoder_backend(self, tmp_path):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -294,6 +344,13 @@ class TestBdrate:
             [(1e6, 40), (2e6, 42), (3e6, 44), (4e6, 46)]))
         assert run("bdrate", "--anchor", lo, "--test", hi) == 3
         assert "no PSNR overlap" in capsys.readouterr().err
+
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        anchor, _ = self._write_curves(tmp_path, 1.0)
+        short = tmp_path / "short.csv"
+        short.write_text(anchor.read_text() + "4000\n")
+        assert run("bdrate", "--anchor", anchor, "--test", short) == 3
+        assert "line 6 has 1 fields, expected 2" in capsys.readouterr().err
 
 
 class TestUsage:

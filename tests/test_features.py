@@ -175,6 +175,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3 has 4 fields, expected 7"):
             feat.read_features_csv(str(path))
 
+    @pytest.mark.parametrize("row, match", [
+        ("1,nan,1,1,1,1,1", "line 3 has a non-finite or negative"),
+        ("1,1,1,1,1,inf,1", "line 3 has a non-finite or negative"),
+        ("1,1,-0.5,1,1,1,1", "line 3 has a non-finite or negative"),
+        ("0,1,1,1,1,1,1", "line 3 has frame_index 0, not above the previous 0"),
+        ("-1,1,1,1,1,1,1", "line 3 has frame_index -1, not above the previous 0"),
+    ])
+    def test_bad_value_or_index_names_line(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frame_index,e_y,l_y,e_u,l_u,e_v,l_v\n0,1,1,1,1,1,1\n{row}\n")
+        with pytest.raises(ValueError, match=match):
+            feat.read_features_csv(str(path))
+
 
 @settings(max_examples=20, deadline=None)
 @given(value=st.integers(min_value=0, max_value=255))

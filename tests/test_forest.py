@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,15 @@ from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 
 CONST_FEATURES = FrameFeatures(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0)
+
+# Model file layout: a 44-byte header, feature_min/max as 7 f8 each, the
+# trees, then a CRC-32 of everything before it.
+FIRST_TREE = 44 + 2 * 7 * 8
+
+
+def reseal(path, body):
+    """Write `body` with a valid trailing CRC-32, so only the layout can be wrong."""
+    path.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
 
 
 def q_split_samples():
@@ -101,7 +112,7 @@ class TestTraining:
                     assert d <= depth
                     if tree.feature[node] >= 0:
                         walk(tree.left[node], d + 1)
-                        walk(tree.right[node], d + 1)
+                        walk(tree.left[node] + 1, d + 1)
                 walk(0, 0)
 
 
@@ -113,9 +124,8 @@ class TestPredict:
 
     def test_mean_of_trees(self):
         leaf = lambda v: forest.Tree(
-            feature=np.array([-1], np.int32), threshold=np.zeros(1),
-            left=np.array([-1], np.int32), right=np.array([-1], np.int32),
-            value=np.array([v]), gain=np.zeros(1),
+            feature=np.array([-1], np.int8), threshold=np.zeros(1),
+            left=np.array([-1], np.int32), value=np.array([v]), gain=np.zeros(1),
         )
         model = forest.ForestModel(
             trees=[leaf(800.0), leaf(1200.0)], hyperparams=forest.ForestHyperparams(n_estimators=2),
@@ -194,6 +204,14 @@ class TestSerialization:
         loaded = forest.load(str(path))
         assert loaded.hyperparams == model.hyperparams
         assert loaded.n_samples == model.n_samples
+        for name in ("feature_min", "feature_max"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        assert len(loaded.trees) == len(model.trees)
+        for want, got in zip(model.trees, loaded.trees):
+            for f in dataclasses.fields(forest.Tree):
+                a, b = getattr(want, f.name), getattr(got, f.name)
+                assert a.dtype == b.dtype, f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
         X = np.column_stack([
             rng.uniform(0, 1, (1000, 6)), rng.integers(0, 64, 1000),
         ])
@@ -229,12 +247,48 @@ class TestSerialization:
         model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=2))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = (99).to_bytes(4, "little")  # bump version field
-        body = bytes(blob[:-4])
-        import zlib
-        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-        with pytest.raises(forest.ModelFormatError, match="version"):
+        body = bytearray(path.read_bytes()[:-4])
+        for version in (1, 99):  # the previous format, and one from the future
+            body[4:8] = version.to_bytes(4, "little")
+            reseal(path, body)
+            with pytest.raises(forest.ModelFormatError,
+                               match=f"format version {version}, expected 2"):
+                forest.load(str(path))
+
+    def test_size_matches_documented_layout(self, tmp_path):
+        data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=6)
+        model = forest.train(data, forest.ForestHyperparams(n_estimators=4, max_depth=5))
+        path = tmp_path / "m.ircf"
+        size = forest.save(model, str(path))
+        # per tree: u32 n_nodes, i1 feature per node, f8 threshold + i4 left
+        # + f8 gain per split node, f8 value per leaf
+        trees = sum(4 + t.n_nodes + 20 * int((t.feature >= 0).sum())
+                    + 8 * int((t.feature < 0).sum()) for t in model.trees)
+        assert size == path.stat().st_size == FIRST_TREE + trees + 4
+
+    @pytest.mark.parametrize("case, match", [
+        ("feature", "feature outside"),
+        ("left_not_later", "children"),
+        ("left_plus_one_outside", "children"),
+        ("trailing", "trailing bytes"),
+    ])
+    def test_malformed_tree_rejected(self, tmp_path, case, match):
+        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=2,
+                                                                         max_depth=1))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        body = bytearray(path.read_bytes()[:-4])
+        n_nodes = model.trees[0].n_nodes  # 3: the root splits on q into two leaves
+        root_left = FIRST_TREE + 4 + n_nodes + 8  # after the features and the threshold
+        if case == "feature":
+            body[FIRST_TREE + 4] = 9
+        elif case == "trailing":
+            body += b"\0"
+        else:
+            slot = 0 if case == "left_not_later" else n_nodes - 1
+            body[root_left:root_left + 4] = slot.to_bytes(4, "little")
+        reseal(path, body)
+        with pytest.raises(forest.ModelFormatError, match=match):
             forest.load(str(path))
 
     def test_deeper_model_is_larger(self, tmp_path):
@@ -244,6 +298,39 @@ class TestSerialization:
             model = forest.train(data, forest.ForestHyperparams(n_estimators=10, max_depth=depth))
             sizes[depth] = forest.save(model, str(tmp_path / f"d{depth}.ircf"))
         assert sizes[4] < sizes[12]
+
+
+@pytest.fixture(scope="module")
+def small_model_body(tmp_path_factory):
+    data = sim.generate_dataset(200, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=8)
+    model = forest.train(data, forest.ForestHyperparams(n_estimators=2, max_depth=3))
+    path = tmp_path_factory.mktemp("model") / "m.ircf"
+    forest.save(model, str(path))
+    return path, path.read_bytes()[:-4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=6),
+       resize=st.integers(-6, 6))
+def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
+    """Any checksum-valid mutation either fails to load or loads into a
+    model that predicts and reports importances without an exception."""
+    valid, body = small_model_body
+    body = bytearray(body)
+    for pos, byte in edits:
+        body[pos % len(body)] = byte
+    body = body[:len(body) + resize] if resize < 0 else body + bytes(resize)
+    path = valid.with_name("mutated.ircf")
+    reseal(path, body)
+    try:
+        model = forest.load(str(path))
+    except forest.ModelFormatError:
+        return
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.uniform(0, 1, (16, 6)), rng.integers(0, 64, 16)])
+    assert forest.predict_batch(model, X).shape == (16,)
+    forest.importance(model)
 
 
 class TestTrainingCsv:
