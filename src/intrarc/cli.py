@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,12 +25,16 @@ from intrarc import forest
 from intrarc import metrics
 from intrarc import ratecontrol as rc
 from intrarc import simulator as sim
+from intrarc import tables
 from intrarc import video_io
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+
+PREDICT_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "b_hat": tables.REAL}
+LOG_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "bits": tables.BITS}
 
 
 def _write_manifest(out_path: str, command: str, inputs: dict, config: dict,
@@ -174,34 +177,25 @@ def cmd_predict(args) -> int:
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
     bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
-    records = [[f.frame_index, args.qp, f"{b:.9g}"] for f, b in zip(rows, bits)]
+    records = [(f.frame_index, args.qp, b) for f, b in zip(rows, bits)]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame_index", "q", "b_hat"])
-            writer.writerows(records)
+        tables.write(args.out, PREDICT_COLUMNS, records)
         _write_manifest(args.out, "predict",
                         inputs={"model": args.model, "features": args.features},
                         config={"qp": args.qp}, seeds={})
     else:
         for rec in records:
-            print(*rec, sep=",")
+            print(*tables.format_row(PREDICT_COLUMNS, rec), sep=",")
     return EXIT_OK
 
 
 def _log_encoder(path: str, frame_indices: set[int]):
     """Encoder backed by an external per-(frame, q) bits table."""
     table: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame_index", "q", "bits"]:
-            raise ValueError(f"{path}: expected header frame_index,q,bits")
-        for rec in reader:
-            if len(rec) < len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
-                                 f"expected {len(header)}")
-            table[(int(rec[0]), int(rec[1]))] = float(rec[2])
+    for line, (frame, q, bits) in tables.read(path, LOG_COLUMNS):
+        if (frame, q) in table:
+            raise ValueError(f"{path}: line {line} repeats frame {frame} at q={q}")
+        table[frame, q] = bits
     logged_frames = {f for f, _ in table}
     if logged_frames != frame_indices:
         odd = min(logged_frames ^ frame_indices)
@@ -262,7 +256,7 @@ def cmd_rc(args) -> int:
                 "q_start": cfg.q_start, "first_pass": args.first_pass,
                 "first_pass_qp": cfg.first_pass_qp,
                 "deficit_gain": cfg.deficit_gain,
-                "qp_min": cfg.qp_min, "qp_max": cfg.qp_max,
+                "qp_min": 0, "qp_max": tables.QP_MAX,
                 "frame_budget": cfg.frame_budget,
                 "sim": {"kappa": sim_params.kappa, "gamma": sim_params.gamma,
                         "delta": sim_params.delta, "noise_sigma": sim_params.noise_sigma}},

@@ -14,7 +14,6 @@ that content scaled between bit depths maps to identical features.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,7 +21,11 @@ from typing import Iterable
 import numpy as np
 from scipy.fft import dctn
 
-FEATURE_CSV_HEADER = ["frame_index", "e_y", "l_y", "e_u", "l_u", "e_v", "l_v"]
+from intrarc import tables
+
+FEATURE_COLUMNS = {"frame_index": tables.INDEX, "e_y": tables.ENERGY, "l_y": tables.LEVEL,
+                   "e_u": tables.ENERGY, "l_u": tables.LEVEL, "e_v": tables.ENERGY,
+                   "l_v": tables.LEVEL}
 
 # Chroma of a luma-only frame is reported as mid-grey with zero texture.
 NEUTRAL_CHROMA_LEVEL = 0.5
@@ -136,32 +139,15 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
 
 
 def write_features_csv(path: str, rows: Iterable[FrameFeatures]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_CSV_HEADER)
-        for f in rows:
-            writer.writerow([f.frame_index] + [f"{v:.9g}" for v in f.as_array()])
+    tables.write(path, FEATURE_COLUMNS, ([f.frame_index, *f.as_array()] for f in rows))
 
 
 def read_features_csv(path: str) -> list[FrameFeatures]:
-    """Rows with finite, non-negative values and strictly increasing frame indices."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FEATURE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(FEATURE_CSV_HEADER)}")
-        rows = []
-        for rec in reader:
-            if len(rec) < len(FEATURE_CSV_HEADER):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
-                                 f"expected {len(FEATURE_CSV_HEADER)}")
-            idx = int(rec[0])
-            values = [float(v) for v in rec[1:7]]
-            if not all(math.isfinite(v) and v >= 0 for v in values):
-                raise ValueError(f"{path}: line {reader.line_num} has a non-finite "
-                                 "or negative feature value")
-            if rows and idx <= rows[-1].frame_index:
-                raise ValueError(f"{path}: line {reader.line_num} has frame_index {idx}, "
-                                 f"not above the previous {rows[-1].frame_index}")
-            rows.append(FrameFeatures(*values, frame_index=idx))
+    """Rows of the features table, with strictly increasing frame indices."""
+    rows = []
+    for line, (idx, *values) in tables.read(path, FEATURE_COLUMNS):
+        if rows and idx <= rows[-1].frame_index:
+            raise ValueError(f"{path}: line {line} has frame_index {idx}, "
+                             f"not above the previous {rows[-1].frame_index}")
+        rows.append(FrameFeatures(*values, frame_index=idx))
     return rows

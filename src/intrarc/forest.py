@@ -17,7 +17,6 @@ value), and a trailing CRC-32.
 
 from __future__ import annotations
 
-import csv
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -25,13 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from intrarc.features import FrameFeatures
+from intrarc import tables
+from intrarc.features import FEATURE_COLUMNS, FrameFeatures
 
-FEATURE_NAMES = ("e_y", "l_y", "e_u", "l_u", "e_v", "l_v", "q")
-N_FEATURES = len(FEATURE_NAMES)
-QP_MAX = 63
+N_FEATURES = 7   # model inputs: a training row's columns from e_y to q
 
-TRAINING_CSV_HEADER = ["frame_index", "e_y", "l_y", "e_u", "l_u", "e_v", "l_v", "q", "bits"]
+TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
 
 _MAGIC = b"IRCF"
 _VERSION = 2
@@ -69,8 +67,8 @@ class TrainingSample:
     bits: float
 
     def __post_init__(self):
-        if not 0 <= self.q <= QP_MAX:
-            raise ValueError(f"q={self.q} outside [0, {QP_MAX}]")
+        if not 0 <= self.q <= tables.QP_MAX:
+            raise ValueError(f"q={self.q} outside [0, {tables.QP_MAX}]")
         if not np.isfinite(self.bits) or self.bits <= 0:
             raise ValueError(f"bits={self.bits} must be finite and positive")
 
@@ -179,8 +177,8 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
 def feature_matrix(features: Sequence[FrameFeatures], q) -> np.ndarray:
     """The (n, 7) `[features | QP]` matrix; `q` is one QP or one per row."""
     qs = np.broadcast_to(np.asarray(q, dtype=np.float64), (len(features),))
-    if ((qs < 0) | (qs > QP_MAX)).any():
-        raise ValueError(f"q={q} outside [0, {QP_MAX}]")
+    if ((qs < 0) | (qs > tables.QP_MAX)).any():
+        raise ValueError(f"q={q} outside [0, {tables.QP_MAX}]")
     return np.column_stack([np.reshape([f.as_array() for f in features], (-1, 6)), qs])
 
 
@@ -383,35 +381,11 @@ def load(path: str) -> ForestModel:
 
 
 def write_training_csv(path: str, samples: Iterable[TrainingSample]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_CSV_HEADER)
-        for s in samples:
-            f = s.features
-            writer.writerow(
-                [f.frame_index] + [f"{v:.9g}" for v in f.as_array()]
-                + [s.q, f"{s.bits:.9g}"]
-            )
+    tables.write(path, TRAINING_COLUMNS,
+                 ([s.features.frame_index, *s.features.as_array(), s.q, s.bits] for s in samples))
 
 
 def read_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a training table into (X, y); header columns are mandatory."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty training file")
-        missing = [c for c in TRAINING_CSV_HEADER if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column {missing[0]!r}")
-        cols = [header.index(c) for c in TRAINING_CSV_HEADER[1:]]
-        rows = []
-        for rec in reader:
-            if len(rec) < len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
-                                 f"expected {len(header)}")
-            rows.append([float(rec[c]) for c in cols])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    return data[:, :7], data[:, 7]
+    """Load a training table into (X, y)."""
+    data = np.array([v for _, v in tables.read(path, TRAINING_COLUMNS)], dtype=np.float64)
+    return data[:, 1:8], data[:, 8]

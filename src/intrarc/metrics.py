@@ -9,7 +9,6 @@ the same quality.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -17,8 +16,10 @@ from typing import Iterable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from intrarc import tables
+
 PSNR_CAP = 99.99
-RD_CSV_HEADER = ["bitrate", "psnr_yuv"]
+RD_COLUMNS = {"bitrate": tables.BITS, "psnr_yuv": tables.REAL}
 BD_METHOD = "pchip-log-rate"
 
 
@@ -116,23 +117,8 @@ def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
 
 
 def write_rd_csv(path: str, curve: RdCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RD_CSV_HEADER)
-        for p in curve.points:
-            writer.writerow([f"{p.bitrate:.9g}", f"{p.psnr_yuv:.9g}"])
+    tables.write(path, RD_COLUMNS, ([p.bitrate, p.psnr_yuv] for p in curve.points))
 
 
 def read_rd_csv(path: str) -> RdCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RD_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(RD_CSV_HEADER)}")
-        pairs = []
-        for rec in reader:
-            if len(rec) < len(RD_CSV_HEADER):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
-                                 f"expected {len(RD_CSV_HEADER)}")
-            pairs.append((float(rec[0]), float(rec[1])))
-    return RdCurve.from_pairs(pairs)
+    return RdCurve.from_pairs(values for _, values in tables.read(path, RD_COLUMNS))

@@ -13,19 +13,20 @@ side, and charges the frame's actual spend back into the deficit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from intrarc import tables
 from intrarc.features import FrameFeatures
 from intrarc.forest import feature_matrix
 from intrarc.video_io import VideoGeometry
 
-TRACE_CSV_HEADER = ["frame_index", "q_p", "b_hat", "b_prime", "q_bar", "q_prime",
-                    "actual_bits", "deficit"]
+TRACE_COLUMNS = {"frame_index": tables.INDEX, "q_p": tables.QP, "b_hat": tables.REAL,
+                 "b_prime": tables.REAL, "q_bar": tables.REAL, "q_prime": tables.QP,
+                 "actual_bits": tables.REAL, "deficit": tables.REAL}
 
 # c_high anchors: published operating points at the two reference resolutions,
 # interpolated linearly in log2(pixel count) between them.
@@ -48,8 +49,8 @@ class FirstPassRecord:
     b_hat_p: float
 
     def __post_init__(self):
-        if not 0 <= self.q_p <= 63:
-            raise ValueError(f"q_p={self.q_p} outside [0, 63]")
+        if not 0 <= self.q_p <= tables.QP_MAX:
+            raise ValueError(f"q_p={self.q_p} outside [0, {tables.QP_MAX}]")
         if not math.isfinite(self.b_hat_p) or self.b_hat_p < 1:
             raise ValueError(f"b_hat_p={self.b_hat_p} must be finite and >= 1")
 
@@ -64,8 +65,6 @@ class RcConfig:
     first_pass_qp: int = 32
     deficit_gain: float = 0.5   # fraction of the deficit recovered per frame
     q_start: ClassVar[int] = 24
-    qp_min: ClassVar[int] = 0
-    qp_max: ClassVar[int] = 63
 
     def __post_init__(self):
         if not (math.isfinite(self.target_bitrate) and self.target_bitrate > 0):
@@ -76,8 +75,8 @@ class RcConfig:
             raise ValueError("frame rate must be positive")
         if not 0.0 < self.deficit_gain <= 1.0:
             raise ValueError("deficit_gain must be in (0, 1]")
-        if not 0 <= self.first_pass_qp <= 63:
-            raise ValueError("first_pass_qp outside [0, 63]")
+        if not 0 <= self.first_pass_qp <= tables.QP_MAX:
+            raise ValueError(f"first_pass_qp outside [0, {tables.QP_MAX}]")
 
     @property
     def frame_budget(self) -> float:
@@ -162,7 +161,7 @@ def map_qp(record: FirstPassRecord, b_prime: float, cfg: RcConfig) -> tuple[floa
         b_prime / record.b_hat_p
     )
     corrected = q_bar + c_high_for(cfg.resolution) * max(0.0, cfg.q_start - q_bar)
-    q_prime = min(cfg.qp_max, max(cfg.qp_min, _round_half_away(corrected)))
+    q_prime = min(tables.QP_MAX, max(0, _round_half_away(corrected)))
     return q_bar, q_prime
 
 
@@ -208,27 +207,10 @@ def run_second_pass(records: Sequence[FirstPassRecord],
 
 def write_trace_csv(path: str, decisions: Iterable[FrameDecision]) -> None:
     """Per-frame trace: one row per decision, ending in its running deficit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for d in decisions:
-            writer.writerow([
-                d.frame_index, d.q_p, f"{d.b_hat_p:.9g}", f"{d.b_prime_p:.9g}",
-                f"{d.q_bar_p:.9g}", d.q_prime_p, f"{d.actual_bits:.9g}", f"{d.deficit:.9g}",
-            ])
+    tables.write(path, TRACE_COLUMNS, (
+        [d.frame_index, d.q_p, d.b_hat_p, d.b_prime_p, d.q_bar_p, d.q_prime_p,
+         d.actual_bits, d.deficit] for d in decisions))
 
 
 def read_trace_csv(path: str) -> list[FrameDecision]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(TRACE_CSV_HEADER)}")
-        out = []
-        for rec in reader:
-            out.append(FrameDecision(
-                frame_index=int(rec[0]), q_p=int(rec[1]), b_hat_p=float(rec[2]),
-                b_prime_p=float(rec[3]), q_bar_p=float(rec[4]), q_prime_p=int(rec[5]),
-                actual_bits=float(rec[6]), deficit=float(rec[7]),
-            ))
-    return out
+    return [FrameDecision(*values) for _, values in tables.read(path, TRACE_COLUMNS)]

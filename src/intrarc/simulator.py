@@ -17,6 +17,7 @@ import numpy as np
 
 from intrarc.features import FrameFeatures
 from intrarc.forest import TrainingSample
+from intrarc.tables import QP_MAX
 
 PSNR_FLOOR = 20.0
 PSNR_CEIL = 99.0
@@ -33,6 +34,9 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("kappa", "gamma", "delta", "noise_sigma", "psnr_intercept", "psnr_slope"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if self.kappa <= 0 or self.delta <= 0 or self.psnr_slope <= 0:
             raise ValueError("kappa, delta and psnr_slope must be positive")
         if self.noise_sigma < 0:
@@ -50,8 +54,8 @@ def expected_bits(features: FrameFeatures, q: int, pixels: int, params: SimParam
 
 def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) -> int:
     """Bits spent encoding one frame at QP q (>= 1)."""
-    if not 0 <= q <= 63:
-        raise ValueError(f"q={q} outside [0, 63]")
+    if not 0 <= q <= QP_MAX:
+        raise ValueError(f"q={q} outside [0, {QP_MAX}]")
     if pixels <= 0:
         raise ValueError("pixels must be positive")
     noise = 1.0
@@ -66,8 +70,8 @@ def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) ->
 
 def sim_psnr(q: int, params: SimParams) -> float:
     """Frame quality in dB at QP q, linear with clamping."""
-    if not 0 <= q <= 63:
-        raise ValueError(f"q={q} outside [0, 63]")
+    if not 0 <= q <= QP_MAX:
+        raise ValueError(f"q={q} outside [0, {QP_MAX}]")
     return min(PSNR_CEIL, max(PSNR_FLOOR, params.psnr_intercept - params.psnr_slope * q))
 
 

@@ -1,8 +1,10 @@
+import csv
 import json
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intrarc import cli, forest, metrics
 from intrarc import features as feat
@@ -100,6 +102,20 @@ class TestTrain:
         bad.write_text(training_csv.read_text() + "7,0.5,0.5\n")
         assert run("train", "--data", bad, "--out", tmp_path / "m.ircf") == 3
         assert "line 602 has 3 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, field", [
+        ("7,0.5,0.5,0.5,0.5,0.5,0.5,500,1000", "q='500'"),
+        ("7,0.5,0.5,0.5,0.5,0.5,0.5,-1,1000", "q='-1'"),
+        ("7,0.5,0.5,0.5,0.5,0.5,0.5,32.7,1000", "q='32.7'"),
+        ("7,0.5,-3,0.5,0.5,0.5,0.5,32,1000", "l_y='-3'"),
+        ("7,nan,0.5,0.5,0.5,0.5,0.5,32,1000", "e_y='nan'"),
+        ("7,0.5,0.5,0.5,0.5,0.5,0.5,32,inf", "bits='inf'"),
+    ])
+    def test_bad_value_names_line(self, tmp_path, training_csv, capsys, row, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(training_csv.read_text() + row + "\n")
+        assert run("train", "--data", bad, "--trees", 2, "--out", tmp_path / "m.ircf") == 3
+        assert f"line 602 has {field}, expected" in capsys.readouterr().err
 
     def test_deterministic_model_bytes(self, tmp_path, training_csv):
         a = tmp_path / "a.ircf"
@@ -242,6 +258,34 @@ class TestRc:
                    "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
         assert "line 3 has 2 fields, expected 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ("0,5,nan", "line 7 has bits='nan', expected"),
+        ("0,5,-5", "line 7 has bits='-5', expected"),
+        ("0,4,2000", "line 7 repeats frame 0 at q=4"),
+    ])
+    def test_bad_log_row_names_line(self, tmp_path, capsys, bad, message):
+        feats_path, feats = _features_csv(tmp_path, n=5)
+        rows = [f"{f.frame_index},{q},{1000 * (64 - q)}" for f in feats for q in range(64)]
+        rows.insert(5, bad)  # line 7, after the header and frame 0 at q 0..4
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(["frame_index,q,bits", *rows]) + "\n")
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--sim-noise", "nan", "noise_sigma"),
+        ("--sim-gamma", "nan", "gamma"),
+        ("--sim-kappa", "inf", "kappa"),
+    ])
+    def test_non_finite_sim_param_is_data_error(self, tmp_path, capsys, flag, value, field):
+        feats_path, _ = _features_csv(tmp_path, n=5)
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080", flag, value,
+                   "--trace", tmp_path / "t.csv") == 3
+        assert f"{field}={value} must be finite" in capsys.readouterr().err
+
     def test_duplicate_frame_index_is_data_error(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
         lines = feats_path.read_text().splitlines()
@@ -351,6 +395,83 @@ class TestBdrate:
         short.write_text(anchor.read_text() + "4000\n")
         assert run("bdrate", "--anchor", anchor, "--test", short) == 3
         assert "line 6 has 1 fields, expected 2" in capsys.readouterr().err
+
+
+FEATURES_HEADER = "frame_index,e_y,l_y,e_u,l_u,e_v,l_v"
+
+# Every CSV input of the CLI: its header and a command reading it from {csv}.
+CSV_INPUTS = {
+    "predict features": (FEATURES_HEADER,
+                         "predict --model {root}/m.ircf --features {csv} --qp 32 --out {out}"),
+    "rc features": (FEATURES_HEADER, "rc --features {csv} --model {root}/m.ircf --bitrate 1e5 "
+                                     "--resolution 64x64 --trace {out}"),
+    "training": (FEATURES_HEADER + ",q,bits",
+                 "train --data {csv} --trees 2 --max-depth 3 --threads 1 --out {out}"),
+    "rd curve": ("bitrate,psnr_yuv", "bdrate --anchor {root}/anchor.csv --test {csv} --out {out}"),
+    "encoder log": ("frame_index,q,bits",
+                    "rc --features {root}/features.csv --first-pass noise --bitrate 1e5 "
+                    "--resolution 64x64 --encoder log:{csv} --trace {out}"),
+}
+
+CELLS = st.one_of(
+    st.integers(-2, 70).map(str),
+    st.floats().map(repr),  # nan, inf, huge and subnormal values too
+    st.sampled_from(["", "x", "3x", " 7", "1_0", "\x00", '"', "1" * (csv.field_size_limit() + 1)]),
+)
+
+
+def valid_cell(name):
+    if name in ("frame_index", "q"):
+        return st.integers(0, 63).map(str)
+    return st.floats(0, 1).map(repr) if name.startswith("l_") else st.floats(1, 1e7).map(repr)
+
+
+@st.composite
+def table_bytes(draw, header):
+    """A CSV table near `header`, with NUL or non-UTF-8 bytes spliced in."""
+    width = header.count(",") + 1
+    valid = st.tuples(*(valid_cell(name) for name in header.split(","))).map(list)
+    rows = draw(st.lists(st.one_of(valid, st.lists(CELLS, min_size=width, max_size=width),
+                                   st.lists(CELLS, max_size=width + 1)), max_size=5))
+    head = draw(st.sampled_from([header, header, header, header + ",x", ""]))
+    data = ("\n".join([head, *(",".join(r) for r in rows)]) + "\n").encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(max_size=3)) + data[at:]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A model, a features CSV and an RD curve for the commands of CSV_INPUTS."""
+    root = tmp_path_factory.mktemp("inputs")
+    data = sim.generate_dataset(200, sim.SimParams(kappa=1.0), seed=1, pixels=64 * 64)
+    model = forest.train(data, forest.ForestHyperparams(n_estimators=2, max_depth=3))
+    forest.save(model, str(root / "m.ircf"))
+    feat.write_features_csv(str(root / "features.csv"),
+                            sim.random_features(3, np.random.default_rng(0)))
+    metrics.write_rd_csv(str(root / "anchor.csv"), metrics.RdCurve.from_pairs(
+        [(1e5, 30.0), (2e5, 33.0), (4e5, 36.0), (8e5, 39.0)]))
+    return root
+
+
+def run_on_csv(root, name, data: bytes) -> int:
+    command = CSV_INPUTS[name][1]
+    (root / "input.csv").write_bytes(data)
+    return run(*command.format(root=root, csv=root / "input.csv", out=root / "out").split())
+
+
+class TestCsvInputs:
+    @pytest.mark.parametrize("name", CSV_INPUTS)
+    def test_oversized_field_is_data_error(self, cli_inputs, capsys, name):
+        header = CSV_INPUTS[name][0]
+        oversized = "1" * (csv.field_size_limit() + 1)
+        assert run_on_csv(cli_inputs, name, f"{header}\n{oversized}\n".encode()) == 3
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(sorted(CSV_INPUTS)), data=st.data())
+    def test_any_input_exits_with_a_documented_code(self, cli_inputs, name, data):
+        table = data.draw(table_bytes(CSV_INPUTS[name][0]))
+        assert run_on_csv(cli_inputs, name, table) in {0, 2, 3, 4}
 
 
 class TestUsage:

@@ -176,9 +176,9 @@ class TestCsv:
             feat.read_features_csv(str(path))
 
     @pytest.mark.parametrize("row, match", [
-        ("1,nan,1,1,1,1,1", "line 3 has a non-finite or negative"),
-        ("1,1,1,1,1,inf,1", "line 3 has a non-finite or negative"),
-        ("1,1,-0.5,1,1,1,1", "line 3 has a non-finite or negative"),
+        ("1,nan,1,1,1,1,1", "line 3 has e_y='nan'"),
+        ("1,1,1,1,1,inf,1", "line 3 has e_v='inf'"),
+        ("1,1,-0.5,1,1,1,1", "line 3 has l_y='-0.5'"),
         ("0,1,1,1,1,1,1", "line 3 has frame_index 0, not above the previous 0"),
         ("-1,1,1,1,1,1,1", "line 3 has frame_index -1, not above the previous 0"),
     ])
