@@ -3,7 +3,7 @@
 Pipeline: raw video -> per-frame DCT-energy complexity features ->
 random-forest bits prediction (the cheap stand-in for a first encoding
 pass) -> second-pass QP assignment with bit-budget compensation.
-A synthetic encoder model and BD-rate/PSNR metrics close the loop for
+A synthetic encoder model and BD-rate close the loop for
 desk-scale validation.
 """
 
@@ -14,7 +14,7 @@ from intrarc.features import AnalyzerConfig, FrameFeatures, extract_features, ex
 from intrarc.forest import ForestHyperparams, ForestModel, TrainingSample, train, predict
 from intrarc.ratecontrol import RcConfig, FirstPassRecord, FrameDecision
 from intrarc.simulator import SimParams, sim_bits, sim_psnr, generate_dataset
-from intrarc.metrics import RdPoint, RdCurve, psnr, psnr_yuv, bd_rate
+from intrarc.metrics import RdPoint, RdCurve, bd_rate
 
 __all__ = [
     "VideoGeometry", "PlanarFrame", "open_y4m", "open_raw_yuv",
@@ -22,5 +22,5 @@ __all__ = [
     "ForestHyperparams", "ForestModel", "TrainingSample", "train", "predict",
     "RcConfig", "FirstPassRecord", "FrameDecision",
     "SimParams", "sim_bits", "sim_psnr", "generate_dataset",
-    "RdPoint", "RdCurve", "psnr", "psnr_yuv", "bd_rate",
+    "RdPoint", "RdCurve", "bd_rate",
 ]

@@ -140,11 +140,14 @@ def cmd_train(args) -> int:
         perm = rng.permutation(len(y))
         n_test = max(1, int(round(args.holdout * len(y))))
         test_idx, train_idx = perm[:n_test], perm[n_test:]
+        ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
+        if ss_tot == 0.0:
+            raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
+                             "rows have zero variance; hold out more rows")
         model = forest.train_arrays(X[train_idx], y[train_idx], hp, threads=args.threads)
         pred = forest.predict_batch(model, X[test_idx])
         resid = y[test_idx] - pred
         ss_res = float(np.sum(resid**2))
-        ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
         holdout_stats = {
             "fraction": args.holdout,
             "n_train": int(train_idx.size),
@@ -164,7 +167,8 @@ def cmd_train(args) -> int:
                 "max_features": hp.max_features, "threads": args.threads},
         seeds={"seed": hp.seed},
         extra={"model_bytes": size, "n_samples": model.n_samples,
-               "holdout": holdout_stats},
+               "holdout": holdout_stats,
+               "importance": dict(zip(forest.INPUT_NAMES, model.importance.tolist()))},
     )
     msg = f"trained {hp.n_estimators} trees on {model.n_samples} samples -> {args.out} ({size} bytes)"
     if holdout_stats:

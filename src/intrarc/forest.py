@@ -8,17 +8,19 @@ consecutive distinct sorted values. Split-score ties break toward the
 lowest feature index, then the lowest threshold. Leaves store the mean
 target of their samples.
 
-Models serialize to a compact little-endian binary: magic "IRCF", a
-format version, the hyperparameters, the training feature range, per
-tree the node features and then only the fields prediction and
-importance read (split nodes: threshold, left child, gain; leaves:
-value), and a trailing CRC-32.
+Trees are grown breadth-first, so their nodes sit in level order and
+the k-th split node's children are at slots 1 + 2k and 2 + 2k. Models
+serialize to a compact little-endian binary: magic "IRCF", a format
+version, the hyperparameters, the training feature range, per tree the
+node count, the feature of every node and the value of every node (the
+threshold at a split node, the mean at a leaf), and a trailing CRC-32.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,9 +32,10 @@ from intrarc.features import FEATURE_COLUMNS, FrameFeatures
 N_FEATURES = 7   # model inputs: a training row's columns from e_y to q
 
 TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
+INPUT_NAMES = tuple(TRAINING_COLUMNS)[1:1 + N_FEATURES]
 
 _MAGIC = b"IRCF"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<4sIIIIIqIQ")
 
 
@@ -75,17 +78,14 @@ class TrainingSample:
 
 @dataclass
 class Tree:
-    """Flattened binary tree; feature < 0 marks a leaf.
+    """Flattened binary tree in level order; feature < 0 marks a leaf.
 
-    A split node's children sit at slots `left` and `left + 1`, both
-    after the node itself.
+    The k-th split node in slot order has its children at slots 1 + 2k
+    and 2 + 2k, both after the node itself.
     """
 
-    feature: np.ndarray    # int8, split feature index or -1
-    threshold: np.ndarray  # float64, go left iff x[feature] <= threshold; 0 at leaves
-    left: np.ndarray       # int32 slot of the left child; -1 at leaves
-    value: np.ndarray      # float64 mean target at leaves; 0 at split nodes
-    gain: np.ndarray       # float64 SSE reduction of the split; 0 at leaves
+    feature: np.ndarray  # int8, split feature index or -1
+    value: np.ndarray    # float64, split: go left iff x[feature] <= value; leaf: mean target
 
     @property
     def n_nodes(self) -> int:
@@ -99,6 +99,9 @@ class ForestModel:
     n_samples: int
     feature_min: np.ndarray
     feature_max: np.ndarray
+    # Per-input share of the training SSE reduction (all zero without a
+    # split); set by training, not saved in the model file.
+    importance: np.ndarray | None = None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """The forest as a batched predictor: (n, 7) `[features | QP]` -> bits."""
@@ -135,19 +138,20 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams,
-               rng: np.random.Generator) -> Tree:
+               rng: np.random.Generator) -> tuple[Tree, np.ndarray]:
+    """One tree, and the SSE reduction of its splits summed per input."""
     # A tree has at most one leaf per sample and 2**max_depth leaves.
     cap = min(2 * y.size - 1, 2 ** (hp.max_depth + 1) - 1)
     feature = np.full(cap, -1, dtype=np.int8)
-    threshold = np.zeros(cap)
-    left = np.full(cap, -1, dtype=np.int32)
     value = np.zeros(cap)
-    gain = np.zeros(cap)
+    gains = np.zeros(N_FEATURES)
     n_nodes = 1
-    stack = [(np.arange(y.size), 0, 0)]
+    # FIFO: nodes are split in slot order, which puts the k-th split
+    # node's children at 1 + 2k and 2 + 2k.
+    queue = deque([(np.arange(y.size), 0, 0)])
     subset = hp.max_features < N_FEATURES
-    while stack:
-        idx, depth, slot = stack.pop()
+    while queue:
+        idx, depth, slot = queue.popleft()
         yn = y[idx]
         found = None
         if depth < hp.max_depth and idx.size >= hp.min_samples_split and yn.max() != yn.min():
@@ -160,14 +164,12 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams,
             value[slot] = yn.mean()
             continue
         col, thr, g, order, p = found
-        feature[slot], threshold[slot], gain[slot], left[slot] = cand[col], thr, g, n_nodes
-        # LIFO: push right first so the left subtree is grown first.
-        stack.append((idx[order[p + 1:]], depth + 1, n_nodes + 1))
-        stack.append((idx[order[: p + 1]], depth + 1, n_nodes))
+        feature[slot], value[slot] = cand[col], thr
+        gains[cand[col]] += g
+        queue.append((idx[order[: p + 1]], depth + 1, n_nodes))
+        queue.append((idx[order[p + 1:]], depth + 1, n_nodes + 1))
         n_nodes += 2
-    return Tree(feature=feature[:n_nodes].copy(), threshold=threshold[:n_nodes].copy(),
-                left=left[:n_nodes].copy(), value=value[:n_nodes].copy(),
-                gain=gain[:n_nodes].copy())
+    return Tree(feature=feature[:n_nodes].copy(), value=value[:n_nodes].copy()), gains
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -206,7 +208,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
 
     n = X.shape[0]
 
-    def build(t: int) -> Tree:
+    def build(t: int) -> tuple[Tree, np.ndarray]:
         rng = _tree_rng(hp.seed, t)
         boot = rng.integers(0, n, size=n)
         return _grow_tree(X[boot], y[boot], hp, rng)
@@ -215,15 +217,18 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(hp.n_estimators)))
+            grown = list(pool.map(build, range(hp.n_estimators)))
     else:
-        trees = [build(t) for t in range(hp.n_estimators)]
+        grown = [build(t) for t in range(hp.n_estimators)]
+    gains = np.sum([g for _, g in grown], axis=0)
+    total = gains.sum()
     return ForestModel(
-        trees=trees,
+        trees=[tree for tree, _ in grown],
         hyperparams=hp,
         n_samples=n,
         feature_min=X.min(axis=0),
         feature_max=X.max(axis=0),
+        importance=gains / total if total > 0.0 else gains,
     )
 
 
@@ -242,14 +247,18 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     leaves = np.empty((len(model.trees), X.shape[0]))
     total = np.zeros(X.shape[0])
     for t, tree in enumerate(model.trees):
-        idx = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(model.hyperparams.max_depth):
+        # The k-th split node's left child is at 1 + 2k. Children are later
+        # slots (load checks it), so every row reaches a leaf whatever
+        # depth the header records.
+        left = 2 * np.cumsum(tree.feature >= 0) - 1
+        idx = np.zeros(X.shape[0], dtype=np.intp)
+        while True:
             feat = tree.feature[idx]
             active = feat >= 0
             if not active.any():
                 break
-            go_left = X[rows, np.where(active, feat, 0)] <= tree.threshold[idx]
-            idx = np.where(active, tree.left[idx] + ~go_left, idx)
+            go_left = X[rows, np.where(active, feat, 0)] <= tree.value[idx]
+            idx = np.where(active, left[idx] + ~go_left, idx)
         leaves[t] = tree.value[idx]
         total += leaves[t]
     return np.clip(total / len(model.trees), leaves.min(axis=0), leaves.max(axis=0))
@@ -258,31 +267,6 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:
     """Predicted frame bits for one feature vector at QP q."""
     return float(predict_batch(model, feature_matrix([features], q))[0])
-
-
-@dataclass(frozen=True)
-class ImportanceResult:
-    weights: np.ndarray
-    has_splits: bool
-
-
-def importance(model: ForestModel) -> ImportanceResult:
-    """Per-feature variance-reduction share, averaged over trees.
-
-    Weights sum to 1 when any split exists; a forest of bare leaves
-    returns all zeros with has_splits=False.
-    """
-    totals = np.zeros(N_FEATURES)
-    for tree in model.trees:
-        split = tree.feature >= 0
-        if split.any():
-            totals += np.bincount(tree.feature[split], weights=tree.gain[split],
-                                  minlength=N_FEATURES)
-    totals /= len(model.trees)
-    s = totals.sum()
-    if s <= 0.0:
-        return ImportanceResult(weights=np.zeros(N_FEATURES), has_splits=False)
-    return ImportanceResult(weights=totals / s, has_splits=True)
 
 
 def save(model: ForestModel, path: str) -> int:
@@ -294,13 +278,9 @@ def save(model: ForestModel, path: str) -> int:
     chunks.append(model.feature_min.astype("<f8").tobytes())
     chunks.append(model.feature_max.astype("<f8").tobytes())
     for tree in model.trees:
-        split = tree.feature >= 0
         chunks.append(struct.pack("<I", tree.n_nodes))
         chunks.append(tree.feature.astype("<i1").tobytes())
-        chunks.append(tree.threshold[split].astype("<f8").tobytes())
-        chunks.append(tree.left[split].astype("<i4").tobytes())
-        chunks.append(tree.gain[split].astype("<f8").tobytes())
-        chunks.append(tree.value[~split].astype("<f8").tobytes())
+        chunks.append(tree.value.astype("<f8").tobytes())
     body = b"".join(chunks)
     blob = body + struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
@@ -328,23 +308,17 @@ class _Reader:
 def _read_tree(rd: _Reader) -> Tree:
     """One tree's records, checked so that traversal stays inside the tree."""
     (n_nodes,) = struct.unpack("<I", rd.take(4))
-    if n_nodes == 0:
-        raise ModelFormatError("tree with no nodes")
     feature = rd.array("<i1", n_nodes)
+    value = rd.array("<f8", n_nodes)
     if ((feature < -1) | (feature >= N_FEATURES)).any():
         raise ModelFormatError(f"node feature outside [-1, {N_FEATURES - 1}]")
-    split = feature >= 0
-    slots = np.flatnonzero(split)
-    tree = Tree(feature=feature, threshold=np.zeros(n_nodes),
-                left=np.full(n_nodes, -1, dtype=np.int32),
-                value=np.zeros(n_nodes), gain=np.zeros(n_nodes))
-    tree.threshold[split] = rd.array("<f8", slots.size)
-    tree.left[split] = rd.array("<i4", slots.size)
-    tree.gain[split] = rd.array("<f8", slots.size)
-    tree.value[~split] = rd.array("<f8", n_nodes - slots.size)
-    if ((tree.left[split] <= slots) | (tree.left[split] >= n_nodes - 1)).any():
+    slots = np.flatnonzero(feature >= 0)
+    if n_nodes != 2 * slots.size + 1:
+        raise ModelFormatError(f"tree has {n_nodes} nodes, but its {slots.size} split nodes "
+                               f"and their children need {2 * slots.size + 1}")
+    if (1 + 2 * np.arange(slots.size) <= slots).any():
         raise ModelFormatError("split node whose children are not later slots in its tree")
-    return tree
+    return Tree(feature=feature, value=value)
 
 
 def load(path: str) -> ForestModel:

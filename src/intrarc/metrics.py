@@ -1,4 +1,4 @@
-"""Evaluation metrics: PSNR, component-weighted PSNR, BD-rate.
+"""Evaluation metrics: BD-rate between RD curves.
 
 BD-rate interpolates both curves as log10(rate) over PSNR with a
 monotone piecewise cubic (PCHIP), integrates the difference exactly
@@ -18,35 +18,12 @@ from scipy.interpolate import PchipInterpolator
 
 from intrarc import tables
 
-PSNR_CAP = 99.99
 RD_COLUMNS = {"bitrate": tables.BITS, "psnr_yuv": tables.REAL}
 BD_METHOD = "pchip-log-rate"
 
 
 class OverlapError(ValueError):
     """RD curves share no PSNR interval."""
-
-
-def psnr(reference, distorted, max_value: float) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 99.99 for identical input."""
-    ref = np.asarray(reference, dtype=np.float64)
-    dist = np.asarray(distorted, dtype=np.float64)
-    if ref.shape != dist.shape:
-        raise ValueError(f"plane shapes differ: {ref.shape} vs {dist.shape}")
-    if max_value <= 0:
-        raise ValueError("max_value must be positive")
-    mse = float(np.mean((ref - dist) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * math.log10(max_value**2 / mse))
-
-
-def psnr_yuv(py: float, pu: float, pv: float) -> float:
-    """Component-weighted PSNR: luma counts six-fold against each chroma."""
-    for v in (py, pu, pv):
-        if not math.isfinite(v):
-            raise ValueError("PSNR inputs must be finite")
-    return (6.0 * py + pu + pv) / 8.0
 
 
 @dataclass(frozen=True)
@@ -84,12 +61,23 @@ class RdCurve:
         return self.points[0].psnr_yuv, self.points[-1].psnr_yuv
 
 
-def _log_rate_spline(curve: RdCurve) -> PchipInterpolator:
+def _log_rate_spline(curve: RdCurve, name: str) -> PchipInterpolator:
     x = np.array([p.psnr_yuv for p in curve.points])
     y = np.log10([p.bitrate for p in curve.points])
     if (np.diff(x) <= 0).any():
-        raise ValueError("BD-rate needs strictly increasing PSNR within each curve")
-    return PchipInterpolator(x, y)
+        raise ValueError(f"{name} curve: BD-rate needs strictly increasing PSNR")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(y) / np.diff(x)
+    if not np.isfinite(slopes).all():
+        i = int(np.argmin(np.isfinite(slopes)))
+        raise ValueError(f"{name} curve: BD-rate needs finite log-rate slopes, but log10(rate) "
+                         f"rises by {y[i + 1] - y[i]:.3g} between PSNR {x[i]:g} and {x[i + 1]:g}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return PchipInterpolator(x, y)
+    except FloatingPointError:
+        raise ValueError(f"{name} curve: PSNR {x[0]:g} to {x[-1]:g} is too wide a span "
+                         "for a finite BD-rate interpolation") from None
 
 
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
@@ -100,8 +88,8 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
         raise OverlapError(
             f"no PSNR overlap: anchor {anchor.psnr_range()}, test {test.psnr_range()}"
         )
-    ia = _log_rate_spline(anchor).integrate(lo, hi)
-    it = _log_rate_spline(test).integrate(lo, hi)
+    ia = _log_rate_spline(anchor, "anchor").integrate(lo, hi)
+    it = _log_rate_spline(test, "test").integrate(lo, hi)
     mean_log_diff = (it - ia) / (hi - lo)
     return 100.0 * (10.0**mean_log_diff - 1.0)
 

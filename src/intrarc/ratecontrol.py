@@ -35,11 +35,7 @@ _C_HIGH_HI = (3840 * 2160, 0.5)
 
 
 class EncoderError(Exception):
-    """Encoder backend failed; carries the decisions made so far."""
-
-    def __init__(self, message: str, partial_trace: list):
-        super().__init__(message)
-        self.partial_trace = partial_trace
+    """Encoder backend failed."""
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def run_second_pass(records: Sequence[FirstPassRecord],
     """Sequentially encode all frames under deficit compensation.
 
     Returns the per-frame decision trace and a summary dict. An encoder
-    failure raises EncoderError carrying the partial trace.
+    failure raises EncoderError naming the frame.
     """
     if not records:
         raise ValueError("no first-pass records")
@@ -188,9 +184,7 @@ def run_second_pass(records: Sequence[FirstPassRecord],
         try:
             actual = float(encoder(pending))
         except Exception as exc:
-            raise EncoderError(
-                f"encoder failed at frame {rec.frame_index}: {exc}", decisions
-            ) from exc
+            raise EncoderError(f"encoder failed at frame {rec.frame_index}: {exc}") from exc
         deficit += actual - b_base
         decisions.append(replace(pending, actual_bits=actual, deficit=deficit))
     total_bits = math.fsum(d.actual_bits for d in decisions)

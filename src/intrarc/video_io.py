@@ -159,6 +159,7 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
     with open(path, "rb") as fh:
         geometry = _parse_y4m_header(fh.readline().rstrip(b"\n"), path)
         nbytes = geometry.frame_bytes()
+        size = os.fstat(fh.fileno()).st_size
         index = 0
         while True:
             marker = fh.readline()
@@ -166,13 +167,14 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
                 return
             if not marker.startswith(b"FRAME"):
                 raise VideoFormatError(f"{path}: bad FRAME marker before frame {index}")
-            payload = fh.read(nbytes)
-            if len(payload) < nbytes:
+            # Checked before the read, which would allocate the whole frame
+            # that the header declares, however large.
+            left = size - fh.tell()
+            if left < nbytes:
                 raise VideoFormatError(
-                    f"{path}: truncated payload in frame {index} "
-                    f"({len(payload)} of {nbytes} bytes)"
+                    f"{path}: truncated payload in frame {index} ({left} of {nbytes} bytes)"
                 )
-            yield _split_planes(payload, geometry, index)
+            yield _split_planes(fh.read(nbytes), geometry, index)
             index += 1
 
 

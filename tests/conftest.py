@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,40 @@ def flat_frame(value=128, width=64, height=64, chroma="420", index=0):
         np.full(chroma_n, value, np.uint8),
         index=index,
     )
+
+
+# Model file layout: a 44-byte header, feature_min/max as 7 f8 each, the
+# trees, then a CRC-32 of everything before it.
+FIRST_TREE = 44 + 2 * 7 * 8
+
+
+def reseal(path, body):
+    """Write `body` with a valid trailing CRC-32, so only the layout can be wrong."""
+    path.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+
+
+def malform_model(path, case):
+    """Give the saved model at `path`, whose first tree splits at its root,
+    one structural fault under a valid CRC.
+
+    left_not_later: the root becomes a leaf and the last leaf a split, so
+    the first split node's left child (slot 1 + 2k, k = 0) is not after it.
+    left_plus_one_outside: the first tree's node count drops by one, so its
+    last split node's right child (left + 1) lies outside the tree.
+    """
+    body = bytearray(path.read_bytes()[:-4])
+    features = FIRST_TREE + 4
+    n_nodes = int.from_bytes(body[FIRST_TREE:features], "little")
+    if case == "feature":
+        body[features] = 9
+    elif case == "left_not_later":
+        body[features] = 0xFF
+        body[features + n_nodes - 1] = 0
+    elif case == "left_plus_one_outside":
+        body[FIRST_TREE:features] = (n_nodes - 1).to_bytes(4, "little")
+    elif case == "trailing":
+        body += b"\0"
+    reseal(path, body)
 
 
 @pytest.fixture

@@ -1,17 +1,23 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intrarc
 from intrarc import cli, forest, metrics
 from intrarc import features as feat
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
-from conftest import make_frame
+from conftest import make_frame, malform_model
 
 
 @pytest.fixture
@@ -69,6 +75,23 @@ class TestAnalyze:
         assert run("analyze", "--input", y4m_file, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_oversized_y4m_frame_is_data_error(self, tmp_path):
+        """A 45-byte file that declares a 6 GB frame fails on its size, before
+        any read; run under an address-space cap so that a read cannot pass
+        by luck."""
+        clip = tmp_path / "huge.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W65536 H65536 F30:1 Ip C420\nFRAME\n")
+        cap = 3 << 30
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intrarc.cli", "analyze", "--input", str(clip),
+             "--out", str(tmp_path / "f.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "(0 of 6442450944 bytes)" in proc.stderr
+
 
 class TestTrain:
     def test_train_writes_model_and_manifest(self, tmp_path, training_csv):
@@ -81,6 +104,9 @@ class TestTrain:
         assert manifest["config"]["max_depth"] == 6
         assert manifest["seeds"]["seed"] == 0
         assert manifest["holdout"]["r2"] > 0.0
+        importance = manifest["importance"]
+        assert list(importance) == ["e_u", "e_v", "e_y", "l_u", "l_v", "l_y", "q"]
+        assert sum(importance.values()) == pytest.approx(1.0)
 
     def test_default_hyperparams_echoed(self, tmp_path, training_csv):
         out = tmp_path / "model.ircf"
@@ -117,6 +143,15 @@ class TestTrain:
         assert run("train", "--data", bad, "--trees", 2, "--out", tmp_path / "m.ircf") == 3
         assert f"line 602 has {field}, expected" in capsys.readouterr().err
 
+    def test_constant_holdout_bits_is_data_error(self, tmp_path, capsys):
+        data = sim.generate_dataset(10, sim.SimParams(kappa=1.0), seed=3)
+        path = tmp_path / "ten.csv"
+        forest.write_training_csv(str(path), data)
+        assert run("train", "--data", path, "--trees", 2, "--holdout", 0.1,
+                   "--out", tmp_path / "m.ircf") == 3
+        assert "holdout R2 is undefined: the bits of the 1 held-out rows have zero variance" in (
+            capsys.readouterr().err)
+
     def test_deterministic_model_bytes(self, tmp_path, training_csv):
         a = tmp_path / "a.ircf"
         b = tmp_path / "b.ircf"
@@ -141,7 +176,7 @@ class TestPredict:
         assert len(lines) == 5
 
     @pytest.mark.parametrize("offset, value, message", [
-        (4, 1, "format version 1, expected 2"),  # a v1 file
+        (4, 2, "format version 2, expected 3"),  # a v2 file
         (44 + 2 * 7 * 8 + 4, 9, "feature outside [-1, 6]"),  # first node's feature
     ])
     def test_bad_model_file_is_data_error(self, tmp_path, training_csv, capsys,
@@ -155,7 +190,25 @@ class TestPredict:
         feats_path, _ = _features_csv(tmp_path, n=3)
         assert run("predict", "--model", model_path, "--features", feats_path,
                    "--qp", 32) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(model_path) in err and message in err
+
+    @pytest.mark.parametrize("case, message", [
+        ("left_not_later", "children are not later slots"),
+        ("left_plus_one_outside", "and their children need"),
+        ("trailing", "trailing bytes"),
+    ])
+    def test_malformed_tree_is_data_error(self, tmp_path, training_csv, capsys,
+                                          case, message):
+        model_path = tmp_path / "m.ircf"
+        assert run("train", "--data", training_csv, "--trees", 2, "--max-depth", 3,
+                   "--out", model_path) == 0
+        malform_model(model_path, case)
+        feats_path, _ = _features_csv(tmp_path, n=3)
+        assert run("predict", "--model", model_path, "--features", feats_path,
+                   "--qp", 32) == 3
+        err = capsys.readouterr().err
+        assert str(model_path) in err and message in err
 
 
 def _features_csv(tmp_path, n=40, seed=42):
@@ -395,6 +448,25 @@ class TestBdrate:
         short.write_text(anchor.read_text() + "4000\n")
         assert run("bdrate", "--anchor", anchor, "--test", short) == 3
         assert "line 6 has 1 fields, expected 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("psnrs, message", [
+        pytest.param("0 5e-324 1e-323 30",
+                     "test curve: BD-rate needs finite log-rate slopes, but log10(rate) "
+                     "rises by 0.301 between PSNR 0 and 4.94066e-324", id="too close"),
+        pytest.param("-1e308 0 1 1e308",
+                     "test curve: PSNR -1e+308 to 1e+308 is too wide a span", id="too wide"),
+    ])
+    def test_extreme_psnr_spacing_is_data_error(self, tmp_path, capsys, psnrs, message):
+        anchor = tmp_path / "anchor.csv"
+        anchor.write_text("bitrate,psnr_yuv\n1100,0\n2100,10\n4100,20\n8100,40\n")
+        test = tmp_path / "test.csv"
+        test.write_text("bitrate,psnr_yuv\n" + "".join(
+            f"{1000 * 2**i},{p}\n" for i, p in enumerate(psnrs.split())))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("bdrate", "--anchor", anchor, "--test", test) == 3
+        assert message in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 FEATURES_HEADER = "frame_index,e_y,l_y,e_u,l_u,e_v,l_v"

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import zlib
 
 import numpy as np
 import pytest
@@ -10,16 +9,15 @@ from intrarc import forest
 from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 
+from conftest import FIRST_TREE, malform_model, reseal
+
 CONST_FEATURES = FrameFeatures(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0)
 
-# Model file layout: a 44-byte header, feature_min/max as 7 f8 each, the
-# trees, then a CRC-32 of everything before it.
-FIRST_TREE = 44 + 2 * 7 * 8
 
-
-def reseal(path, body):
-    """Write `body` with a valid trailing CRC-32, so only the layout can be wrong."""
-    path.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+def children(tree):
+    """Slot -> (left, right) child slots: the k-th split node's are 1 + 2k, 2 + 2k."""
+    return {int(slot): (1 + 2 * k, 2 + 2 * k)
+            for k, slot in enumerate(np.flatnonzero(tree.feature >= 0))}
 
 
 def q_split_samples():
@@ -64,7 +62,7 @@ class TestTraining:
         for tree in model.trees:
             assert tree.n_nodes == 3
             assert int(tree.feature[0]) == 6
-            assert float(tree.threshold[0]) == 30.0
+            assert float(tree.value[0]) == 30.0
         assert forest.predict(model, CONST_FEATURES, 20) == 8000.0
         assert forest.predict(model, CONST_FEATURES, 40) == 1000.0
 
@@ -107,13 +105,37 @@ class TestTraining:
         for depth in (1, 3):
             model = forest.train(data, forest.ForestHyperparams(n_estimators=4, max_depth=depth))
             for tree in model.trees:
+                kids = children(tree)
+
                 # walk every root-to-leaf path
                 def walk(node, d):
                     assert d <= depth
-                    if tree.feature[node] >= 0:
-                        walk(tree.left[node], d + 1)
-                        walk(tree.left[node] + 1, d + 1)
+                    for child in kids.get(node, ()):
+                        walk(child, d + 1)
                 walk(0, 0)
+
+    def test_slots_in_level_order(self):
+        data = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
+        X, y = forest.samples_to_arrays(data)
+        hp = forest.ForestHyperparams(max_depth=6)
+        tree, _ = forest._grow_tree(X, y, hp, forest._tree_rng(0, 0))
+        kids = children(tree)
+        depth = np.zeros(tree.n_nodes, dtype=int)
+        for slot, (left, right) in kids.items():
+            depth[[left, right]] = depth[slot] + 1
+        assert (np.diff(depth) >= 0).all()
+        # Routing the training rows by the 1 + 2k rule lands every row in a
+        # leaf that holds the mean of exactly the rows routed there.
+        node = np.zeros(y.size, dtype=int)
+        for _ in range(hp.max_depth):
+            for i in range(y.size):
+                if node[i] in kids:
+                    left, right = kids[node[i]]
+                    f = tree.feature[node[i]]
+                    node[i] = left if X[i, f] <= tree.value[node[i]] else right
+        assert set(node) == set(np.flatnonzero(tree.feature < 0))
+        for leaf in set(node):
+            assert tree.value[leaf] == pytest.approx(y[node == leaf].mean(), rel=1e-12)
 
 
 class TestPredict:
@@ -123,10 +145,7 @@ class TestPredict:
         assert forest.predict(model, CONST_FEATURES, 63) == 1000.0
 
     def test_mean_of_trees(self):
-        leaf = lambda v: forest.Tree(
-            feature=np.array([-1], np.int8), threshold=np.zeros(1),
-            left=np.array([-1], np.int32), value=np.array([v]), gain=np.zeros(1),
-        )
+        leaf = lambda v: forest.Tree(feature=np.array([-1], np.int8), value=np.array([v]))
         model = forest.ForestModel(
             trees=[leaf(800.0), leaf(1200.0)], hyperparams=forest.ForestHyperparams(n_estimators=2),
             n_samples=2, feature_min=np.zeros(7), feature_max=np.ones(7),
@@ -175,24 +194,19 @@ def test_prediction_bounded_by_targets(rows, probe_q, probe_e):
 class TestImportance:
     def test_only_q_splits(self):
         model = forest.train(q_split_samples(), forest.ForestHyperparams(max_depth=1))
-        imp = forest.importance(model)
-        assert imp.has_splits
-        assert imp.weights[6] == 1.0
-        assert np.all(imp.weights[:6] == 0.0)
+        assert model.importance[6] == 1.0
+        assert np.all(model.importance[:6] == 0.0)
 
     def test_single_leaf_has_no_splits(self):
         samples = [forest.TrainingSample(CONST_FEATURES, 20, 1000.0)] * 5
         model = forest.train(samples, forest.ForestHyperparams(n_estimators=4))
-        imp = forest.importance(model)
-        assert not imp.has_splits
-        assert np.all(imp.weights == 0.0)
+        assert np.all(model.importance == 0.0)
 
     def test_sim_law_concentrates_on_q_and_e_y(self):
         data = sim.generate_dataset(4000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
         model = forest.train(data, forest.ForestHyperparams(n_estimators=20, max_depth=8))
-        imp = forest.importance(model)
-        assert imp.weights.sum() == pytest.approx(1.0)
-        assert imp.weights[0] + imp.weights[6] >= 0.95  # e_y and q
+        assert model.importance.sum() == pytest.approx(1.0)
+        assert model.importance[0] + model.importance[6] >= 0.95  # e_y and q
 
 
 class TestSerialization:
@@ -248,11 +262,11 @@ class TestSerialization:
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         body = bytearray(path.read_bytes()[:-4])
-        for version in (1, 99):  # the previous format, and one from the future
+        for version in (2, 99):  # the previous format, and one from the future
             body[4:8] = version.to_bytes(4, "little")
             reseal(path, body)
             with pytest.raises(forest.ModelFormatError,
-                               match=f"format version {version}, expected 2"):
+                               match=f"format version {version}, expected 3"):
                 forest.load(str(path))
 
     def test_size_matches_documented_layout(self, tmp_path):
@@ -260,10 +274,8 @@ class TestSerialization:
         model = forest.train(data, forest.ForestHyperparams(n_estimators=4, max_depth=5))
         path = tmp_path / "m.ircf"
         size = forest.save(model, str(path))
-        # per tree: u32 n_nodes, i1 feature per node, f8 threshold + i4 left
-        # + f8 gain per split node, f8 value per leaf
-        trees = sum(4 + t.n_nodes + 20 * int((t.feature >= 0).sum())
-                    + 8 * int((t.feature < 0).sum()) for t in model.trees)
+        # per tree: u32 n_nodes, then an i1 feature and an f8 value per node
+        trees = sum(4 + 9 * t.n_nodes for t in model.trees)
         assert size == path.stat().st_size == FIRST_TREE + trees + 4
 
     @pytest.mark.parametrize("case, match", [
@@ -277,19 +289,21 @@ class TestSerialization:
                                                                          max_depth=1))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
-        body = bytearray(path.read_bytes()[:-4])
-        n_nodes = model.trees[0].n_nodes  # 3: the root splits on q into two leaves
-        root_left = FIRST_TREE + 4 + n_nodes + 8  # after the features and the threshold
-        if case == "feature":
-            body[FIRST_TREE + 4] = 9
-        elif case == "trailing":
-            body += b"\0"
-        else:
-            slot = 0 if case == "left_not_later" else n_nodes - 1
-            body[root_left:root_left + 4] = slot.to_bytes(4, "little")
-        reseal(path, body)
+        malform_model(path, case)
         with pytest.raises(forest.ModelFormatError, match=match):
             forest.load(str(path))
+
+    def test_header_depth_does_not_cut_traversal(self, tmp_path, rng):
+        data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=1)
+        model = forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=6))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        body = bytearray(path.read_bytes()[:-4])
+        body[12:16] = (1).to_bytes(4, "little")  # header max_depth 6 -> 1
+        reseal(path, body)
+        X = np.column_stack([rng.uniform(0, 1, (50, 6)), rng.integers(0, 64, 50)])
+        np.testing.assert_array_equal(forest.predict_batch(forest.load(str(path)), X),
+                                      forest.predict_batch(model, X))
 
     def test_deeper_model_is_larger(self, tmp_path):
         data = sim.generate_dataset(2000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=4)
@@ -315,7 +329,7 @@ def small_model_body(tmp_path_factory):
        resize=st.integers(-6, 6))
 def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
     """Any checksum-valid mutation either fails to load or loads into a
-    model that predicts and reports importances without an exception."""
+    model that predicts without an exception."""
     valid, body = small_model_body
     body = bytearray(body)
     for pos, byte in edits:
@@ -330,7 +344,6 @@ def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
     rng = np.random.default_rng(0)
     X = np.column_stack([rng.uniform(0, 1, (16, 6)), rng.integers(0, 64, 16)])
     assert forest.predict_batch(model, X).shape == (16,)
-    forest.importance(model)
 
 
 class TestTrainingCsv:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,44 +14,6 @@ def sim_curve(qs=(37, 32, 27, 22), scale=1.0, pixels=1920 * 1080):
     pairs = [(sim.sim_bits(F, q, pixels, params) * 30.0 * scale, sim.sim_psnr(q, params))
              for q in qs]
     return metrics.RdCurve.from_pairs(pairs)
-
-
-class TestPsnr:
-    def test_identical_planes_capped(self):
-        a = np.arange(100, dtype=np.float64)
-        assert metrics.psnr(a, a, 255) == 99.99
-
-    def test_off_by_one_everywhere(self):
-        a = np.zeros(64)
-        b = np.ones(64)
-        assert metrics.psnr(a, b, 255) == pytest.approx(10 * math.log10(255**2), abs=1e-9)
-
-    def test_full_swing_is_zero_db(self):
-        a = np.zeros(16)
-        b = np.full(16, 255.0)
-        assert metrics.psnr(a, b, 255) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="shapes"):
-            metrics.psnr(np.zeros(4), np.zeros(5), 255)
-
-
-class TestPsnrYuv:
-    def test_symmetric_input(self):
-        assert metrics.psnr_yuv(40, 40, 40) == 40.0
-
-    def test_weighted_mix(self):
-        assert metrics.psnr_yuv(48, 40, 40) == 46.0
-
-    def test_zeros(self):
-        assert metrics.psnr_yuv(0, 0, 0) == 0.0
-
-    def test_luma_dominates(self):
-        assert metrics.psnr_yuv(48, 40, 40) != metrics.psnr_yuv(40, 48, 40)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.psnr_yuv(float("nan"), 40, 40)
 
 
 class TestRdCurve:
