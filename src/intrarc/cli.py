@@ -92,7 +92,13 @@ def _is_y4m(path: str) -> bool:
         return fh.read(9) == b"YUV4MPEG2"
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+
+
 def cmd_analyze(args) -> int:
+    _check_threads(args)
     if _is_y4m(args.input):
         frames = video_io.open_y4m(args.input)
     else:
@@ -126,6 +132,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_threads(args)
     X, y = forest.read_training_csv(args.data)
     hp = forest.ForestHyperparams(
         n_estimators=args.trees, max_depth=args.max_depth,

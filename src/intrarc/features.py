@@ -15,11 +15,11 @@ that content scaled between bit depths maps to identical features.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.fft import dctn
 
 from intrarc import tables
 
@@ -29,6 +29,10 @@ FEATURE_COLUMNS = {"frame_index": tables.INDEX, "e_y": tables.ENERGY, "l_y": tab
 
 # Chroma of a luma-only frame is reported as mid-grey with zero texture.
 NEUTRAL_CHROMA_LEVEL = 0.5
+
+# Block rows transformed at a time. The float64 temporaries of a plane are
+# a few strips (8 MB each at 2160p with 32x32 blocks), not the whole plane.
+STRIP_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class FrameFeatures:
 
 
 _WEIGHTS: dict[int, np.ndarray] = {}
+_DCT: dict[int, np.ndarray] = {}
 
 
 def _ac_weights(w: int) -> np.ndarray:
@@ -68,6 +73,17 @@ def _ac_weights(w: int) -> np.ndarray:
         cached = np.exp(np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
         cached[0, 0] = 0.0  # DC excluded
         _WEIGHTS[w] = cached
+    return cached
+
+
+def _dct_matrix(w: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix C, so that C @ block @ C.T is the 2-D transform."""
+    cached = _DCT.get(w)
+    if cached is None:
+        n = np.arange(w)
+        cached = math.sqrt(2.0 / w) * np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / (2 * w))
+        cached[0] *= math.sqrt(0.5)
+        _DCT[w] = cached
     return cached
 
 
@@ -85,14 +101,28 @@ def block_texture_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
 
     Edge blocks are completed by replicating the last row/column. The
     returned array is unnormalized (one raw energy per block).
+
+    The transform runs as two matrix products over strips of
+    STRIP_BLOCK_ROWS block rows. Each block's top-left sample is
+    subtracted first: that moves only the DC term, which is excluded,
+    and makes the AC terms of a flat block exactly zero.
     """
-    padded = _pad_to_blocks(np.asarray(plane, dtype=np.float64), block_size)
-    nr = padded.shape[0] // block_size
-    nc = padded.shape[1] // block_size
-    blocks = padded.reshape(nr, block_size, nc, block_size).transpose(0, 2, 1, 3)
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
-    weighted = np.abs(coeffs) * _ac_weights(block_size)
-    return weighted.sum(axis=(-2, -1)).reshape(-1)
+    w = block_size
+    padded = _pad_to_blocks(np.asarray(plane), w)
+    nr, nc = padded.shape[0] // w, padded.shape[1] // w
+    c = _dct_matrix(w)
+    weights = _ac_weights(w)
+    out = np.empty((nr, nc))
+    for r0 in range(0, nr, STRIP_BLOCK_ROWS):
+        r1 = min(nr, r0 + STRIP_BLOCK_ROWS)
+        blocks = padded[r0 * w:r1 * w].reshape(r1 - r0, w, nc, w).transpose(0, 2, 1, 3)
+        blocks = blocks.astype(np.float64, order="C")
+        blocks -= blocks[:, :, :1, :1]
+        coeffs = c @ blocks @ c.T
+        np.abs(coeffs, out=coeffs)
+        coeffs *= weights
+        out[r0:r1] = coeffs.sum(axis=(-2, -1))
+    return out.reshape(-1)
 
 
 def plane_energy(plane: np.ndarray, block_size: int, sample_scale: float) -> float:
@@ -125,12 +155,22 @@ def extract_features(frame, cfg: AnalyzerConfig = AnalyzerConfig()) -> FrameFeat
 
 def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
                      threads: int = 1) -> list[FrameFeatures]:
-    """Extract features for a whole frame stream, ordered by frame index."""
+    """Extract features for a whole frame stream, ordered by frame index.
+
+    With threads > 1 at most 2 * threads frames are in flight, so memory
+    stays bounded by a few frames whatever the stream length.
+    """
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        result = []
+        pending = deque()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            result = list(pool.map(lambda f: extract_features(f, cfg), frames))
+            for frame in frames:
+                if len(pending) == 2 * threads:
+                    result.append(pending.popleft().result())
+                pending.append(pool.submit(extract_features, frame, cfg))
+            result.extend(f.result() for f in pending)
     else:
         result = [extract_features(f, cfg) for f in frames]
     if not result:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from intrarc import tables
 
@@ -61,7 +60,10 @@ class RdCurve:
         return self.points[0].psnr_yuv, self.points[-1].psnr_yuv
 
 
-def _log_rate_spline(curve: RdCurve, name: str) -> PchipInterpolator:
+def _log_rate_spline(curve: RdCurve, name: str) -> scipy.interpolate.PchipInterpolator:
+    # Imported here so that only BD-rate pays scipy's import time.
+    from scipy.interpolate import PchipInterpolator
+
     x = np.array([p.psnr_yuv for p in curve.points])
     y = np.log10([p.bitrate for p in curve.points])
     if (np.diff(x) <= 0).any():

@@ -405,28 +405,29 @@ class TestRc:
         assert outs[0] == outs[1]
 
 
-class TestBdrate:
-    def _write_curves(self, tmp_path, scale):
-        params = sim.SimParams(kappa=1.0)
-        from intrarc.features import FrameFeatures
-        f = FrameFeatures(0.5, 0.5, 0.3, 0.5, 0.3, 0.5, 0)
-        pairs = [(sim.sim_bits(f, q, 1920 * 1080, params) * 30.0, sim.sim_psnr(q, params))
-                 for q in (37, 32, 27, 22)]
-        anchor = tmp_path / "anchor.csv"
-        test = tmp_path / "test.csv"
-        metrics.write_rd_csv(str(anchor), metrics.RdCurve.from_pairs(pairs))
-        metrics.write_rd_csv(str(test), metrics.RdCurve.from_pairs(
-            [(r * scale, p) for r, p in pairs]))
-        return anchor, test
+def _write_curves(tmp_path, scale):
+    params = sim.SimParams(kappa=1.0)
+    from intrarc.features import FrameFeatures
+    f = FrameFeatures(0.5, 0.5, 0.3, 0.5, 0.3, 0.5, 0)
+    pairs = [(sim.sim_bits(f, q, 1920 * 1080, params) * 30.0, sim.sim_psnr(q, params))
+             for q in (37, 32, 27, 22)]
+    anchor = tmp_path / "anchor.csv"
+    test = tmp_path / "test.csv"
+    metrics.write_rd_csv(str(anchor), metrics.RdCurve.from_pairs(pairs))
+    metrics.write_rd_csv(str(test), metrics.RdCurve.from_pairs(
+        [(r * scale, p) for r, p in pairs]))
+    return anchor, test
 
+
+class TestBdrate:
     def test_identity_zero(self, tmp_path, capsys):
-        anchor, _ = self._write_curves(tmp_path, 1.0)
+        anchor, _ = _write_curves(tmp_path, 1.0)
         assert run("bdrate", "--anchor", anchor, "--test", anchor) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bd_rate_percent"] == 0.0
 
     def test_ten_percent_scale(self, tmp_path):
-        anchor, test = self._write_curves(tmp_path, 1.10)
+        anchor, test = _write_curves(tmp_path, 1.10)
         out = tmp_path / "bd.json"
         assert run("bdrate", "--anchor", anchor, "--test", test, "--out", out) == 0
         report = json.loads(out.read_text())
@@ -443,7 +444,7 @@ class TestBdrate:
         assert "no PSNR overlap" in capsys.readouterr().err
 
     def test_short_row_is_data_error(self, tmp_path, capsys):
-        anchor, _ = self._write_curves(tmp_path, 1.0)
+        anchor, _ = _write_curves(tmp_path, 1.0)
         short = tmp_path / "short.csv"
         short.write_text(anchor.read_text() + "4000\n")
         assert run("bdrate", "--anchor", anchor, "--test", short) == 3
@@ -546,7 +547,70 @@ class TestCsvInputs:
         assert run_on_csv(cli_inputs, name, table) in {0, 2, 3, 4}
 
 
+# Runs a small chain in a fresh interpreter and prints, per subcommand,
+# its exit code and whether any scipy module was loaded after it. With
+# "blocked", scipy cannot be imported at all.
+SCIPY_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from intrarc import cli
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" and v is not None for m, v in sys.modules.items())
+out = {"import": [0, scipy_loaded()]}
+for name, argv in json.loads(sys.argv[2]):
+    out[name] = [cli.main(argv), scipy_loaded()]
+print(json.dumps(out))
+"""
+
+
+class TestScipyImport:
+    """scipy costs most of the CLI's start-up, so only bdrate may import it."""
+
+    def _probe(self, tmp_path, y4m_file, training_csv, mode, subcommands):
+        model, feats = tmp_path / "m.ircf", tmp_path / "f.csv"
+        anchor, test = _write_curves(tmp_path, 1.1)
+        chain = [
+            ("analyze", ["analyze", "--input", y4m_file, "--threads", 2, "--out", feats]),
+            ("train", ["train", "--data", training_csv, "--trees", 3, "--max-depth", 4,
+                       "--threads", 1, "--out", model]),
+            ("predict", ["predict", "--model", model, "--features", feats, "--qp", 30,
+                         "--out", tmp_path / "p.csv"]),
+            ("rc", ["rc", "--features", feats, "--model", model, "--bitrate", 1e5,
+                    "--resolution", "64x64", "--trace", tmp_path / "t.csv"]),
+            ("bdrate", ["bdrate", "--anchor", anchor, "--test", test,
+                        "--out", tmp_path / "bd.json"]),
+        ]
+        calls = [(name, [str(a) for a in argv]) for name, argv in chain if name in subcommands]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, mode, json.dumps(calls)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_only_bdrate_imports_scipy(self, tmp_path, y4m_file, training_csv):
+        out = self._probe(tmp_path, y4m_file, training_csv, "open",
+                          {"analyze", "train", "predict", "rc", "bdrate"})
+        assert out == {"import": [0, False], "analyze": [0, False], "train": [0, False],
+                       "predict": [0, False], "rc": [0, False], "bdrate": [0, True]}
+
+    def test_chain_runs_without_scipy(self, tmp_path, y4m_file, training_csv):
+        out = self._probe(tmp_path, y4m_file, training_csv, "blocked",
+                          {"analyze", "train", "predict", "rc"})
+        assert [code for code, _ in out.values()] == [0] * 5
+
+
 class TestUsage:
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("subcommand", ["analyze", "train"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, y4m_file, training_csv,
+                                              capsys, subcommand, threads):
+        out = tmp_path / "out"
+        source = ["--input", y4m_file] if subcommand == "analyze" else ["--data", training_csv]
+        assert run(subcommand, *source, "--threads", threads, "--out", out) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main([])

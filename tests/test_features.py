@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +67,49 @@ class TestBlockEnergy:
         for _ in range(5):
             perm = rng.permutation(energies.size)
             assert math.fsum(energies[perm].tolist()) == total
+
+
+def dctn_block_energies(plane, w):
+    """Per-block scipy.fft.dctn reference, edge blocks padded by replication."""
+    from scipy.fft import dctn
+
+    h, width = plane.shape
+    padded = np.pad(plane.astype(np.float64), ((0, -h % w), (0, -width % w)), mode="edge")
+    i = np.arange(w) / w
+    weights = np.exp(np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
+    weights[0, 0] = 0.0
+    return np.array([(np.abs(dctn(padded[r:r + w, c:c + w], norm="ortho")) * weights).sum()
+                     for r in range(0, padded.shape[0], w)
+                     for c in range(0, padded.shape[1], w)])
+
+
+class TestStripKernel:
+    """The strip-wise matmul transform against two independent references."""
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    @pytest.mark.parametrize("shape", ["strip_plus_one", "one_block"])
+    def test_matches_naive_and_dctn(self, rng, w, shape):
+        if shape == "one_block":
+            plane = rng.integers(0, 256, (w, w), dtype=np.uint8)
+        else:
+            # one block row past a whole strip, and ragged edges in both directions
+            rows = (feat.STRIP_BLOCK_ROWS + 1) * w - 3
+            plane = rng.integers(0, 1024, (rows, w + 5), dtype=np.uint16)
+        fast = feat.block_texture_energies(plane, w)
+        reference = dctn_block_energies(plane, w)
+        np.testing.assert_allclose(fast, reference, rtol=1e-12)
+        padded = feat._pad_to_blocks(plane.astype(np.float64), w)
+        naive = [naive_block_energy(padded[r:r + w, c:c + w])
+                 for r in range(0, padded.shape[0], w) for c in range(0, padded.shape[1], w)]
+        np.testing.assert_allclose(fast, naive, rtol=1e-9)
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    @pytest.mark.parametrize("level", [0, 1, 37, 128, 255, 1023])
+    def test_flat_plane_is_exactly_zero(self, w, level):
+        plane = np.full(((feat.STRIP_BLOCK_ROWS + 2) * w + 1, 2 * w - 1), level, np.uint16)
+        energies = feat.block_texture_energies(plane, w)
+        assert energies.size == (feat.STRIP_BLOCK_ROWS + 3) * 2
+        assert (energies == 0.0).all()
 
 
 class TestExtractFeatures:
@@ -149,6 +194,35 @@ class TestSequence:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.as_array(), b.as_array())
             assert a.frame_index == b.frame_index
+
+    def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch):
+        """At most 2 * threads + 1 frames are pulled from the stream and not
+        yet through extract_features, whatever the stream length."""
+        threads, n = 2, 24
+        lock = threading.Lock()
+        done = 0
+        held = []
+        extract = feat.extract_features
+
+        def slow_extract(frame, cfg):
+            nonlocal done
+            time.sleep(0.005)
+            out = extract(frame, cfg)
+            with lock:
+                done += 1
+            return out
+
+        def stream():
+            for i in range(n):
+                frame = make_frame(rng, index=i)
+                with lock:
+                    held.append(i + 1 - done)
+                yield frame
+
+        monkeypatch.setattr(feat, "extract_features", slow_extract)
+        rows = feat.extract_sequence(stream(), threads=threads)
+        assert [r.frame_index for r in rows] == list(range(n))
+        assert max(held) <= 2 * threads + 1
 
 
 class TestCsv:

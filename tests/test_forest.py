@@ -323,27 +323,84 @@ def small_model_body(tmp_path_factory):
     return path, path.read_bytes()[:-4]
 
 
-@settings(max_examples=200, deadline=None)
-@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
-                      min_size=1, max_size=6),
-       resize=st.integers(-6, 6))
-def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
-    """Any checksum-valid mutation either fails to load or loads into a
-    model that predicts without an exception."""
-    valid, body = small_model_body
-    body = bytearray(body)
-    for pos, byte in edits:
-        body[pos % len(body)] = byte
-    body = body[:len(body) + resize] if resize < 0 else body + bytes(resize)
+def tree_layout(body):
+    """(offset of the u32 n_nodes, offsets of the i1 feature bytes) of each tree."""
+    pos, layout = FIRST_TREE, []
+    while pos < len(body):
+        n_nodes = int.from_bytes(body[pos:pos + 4], "little")
+        layout.append((pos, range(pos + 4, pos + 4 + n_nodes)))
+        pos += 4 + 9 * n_nodes
+    return layout
+
+
+@st.composite
+def structural_edits(draw, body):
+    """(offset, bytes) edits of the fields the tree checks guard, each in
+    one tree: its node count moved by a few; one node turned from split to
+    leaf or back; or one split moved to a leaf's slot, which keeps the node
+    count right but can put a split's children before it."""
+    edits = []
+    for count_at, features_at in draw(st.lists(st.sampled_from(tree_layout(body)), max_size=3)):
+        splits = [p for p in features_at if body[p] != 0xFF]
+        leaves = [p for p in features_at if body[p] == 0xFF]
+        kind = draw(st.sampled_from(["count", "flip", "move"]))
+        if kind == "count":
+            n_nodes = max(0, len(features_at) + draw(st.integers(-3, 3)))
+            edits.append((count_at, n_nodes.to_bytes(4, "little")))
+            continue
+        feature = draw(st.integers(0, forest.N_FEATURES - 1)).to_bytes(1, "little")
+        if kind == "flip":
+            pos = draw(st.sampled_from(features_at))
+            edits.append((pos, feature if pos in leaves else b"\xff"))
+        elif splits and leaves:
+            edits += [(draw(st.sampled_from(splits)), b"\xff"),
+                      (draw(st.sampled_from(leaves)), feature)]
+    return edits
+
+
+def assert_rejected_or_usable(valid, body):
+    """The resealed `body` either fails to load or loads into a model whose
+    children are later slots inside their tree, and that predicts without
+    an exception."""
     path = valid.with_name("mutated.ircf")
     reseal(path, body)
     try:
         model = forest.load(str(path))
     except forest.ModelFormatError:
         return
+    for tree in model.trees:
+        for slot, (left, right) in children(tree).items():
+            assert slot < left and right < tree.n_nodes
     rng = np.random.default_rng(0)
     X = np.column_stack([rng.uniform(0, 1, (16, 6)), rng.integers(0, 64, 16)])
     assert forest.predict_batch(model, X).shape == (16,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=6),
+       resize=st.integers(-6, 6))
+def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
+    """Any checksum-valid mutation is rejected or usable."""
+    valid, body = small_model_body
+    body = bytearray(body)
+    for pos, byte in edits:
+        body[pos % len(body)] = byte
+    body = body[:len(body) + resize] if resize < 0 else body + bytes(resize)
+    assert_rejected_or_usable(valid, body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_structurally_mutated_model_is_rejected_or_usable(small_model_body, data):
+    """Edits of node counts and feature bytes, which random byte edits
+    rarely hit, are rejected or usable."""
+    valid, body = small_model_body
+    edits = data.draw(structural_edits(body))
+    body = bytearray(body)
+    for pos, chunk in edits:
+        body[pos:pos + len(chunk)] = chunk
+    assert_rejected_or_usable(valid, body)
 
 
 class TestTrainingCsv:
