@@ -39,19 +39,15 @@ LOG_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "bits": tables.BITS}
 
 def _write_manifest(out_path: str, command: str, inputs: dict, config: dict,
                     seeds: dict, extra: dict | None = None) -> None:
-    manifest = {
+    _write_json(f"{out_path}.manifest.json", {
         "command": command,
         "inputs": inputs,
         "config": config,
         "seeds": seeds,
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    if extra:
-        manifest.update(extra)
-    with open(f"{out_path}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        **(extra or {}),
+    })
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -68,7 +64,7 @@ def _parse_fps(text: str) -> tuple[int, int]:
         num, den = text.split("/", 1) if "/" in text else (text, 1)
         return int(num), int(den)
     except ValueError:
-        raise UsageError(f"frame rate {text!r} is not N or N/D") from None
+        raise UsageError(f"--fps {text!r} is not N or N/D") from None
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -76,15 +72,20 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         w, h = text.lower().split("x", 1)
         return int(w), int(h)
     except ValueError:
-        raise UsageError(f"resolution {text!r} is not WIDTHxHEIGHT") from None
+        raise UsageError(f"--resolution {text!r} is not WIDTHxHEIGHT") from None
 
 
-def _parse_raw_geometry(text: str, fps: tuple[int, int]) -> video_io.VideoGeometry:
+def _parse_raw_geometry(text: str) -> video_io.VideoGeometry:
     """WIDTHxHEIGHT:BITDEPTH:CHROMA, e.g. 1920x1080:8:420."""
-    dims, bits, chroma = text.split(":")
-    w, h = _parse_resolution(dims)
-    return video_io.VideoGeometry(width=w, height=h, bit_depth=int(bits),
-                                  chroma_format=chroma, fps_num=fps[0], fps_den=fps[1])
+    try:
+        dims, bits, chroma = text.split(":")
+        w, h = dims.lower().split("x")
+        return video_io.VideoGeometry(width=int(w), height=int(h), bit_depth=int(bits),
+                                      chroma_format=chroma)
+    except ValueError:
+        raise UsageError(f"--raw-geometry {text!r} is not WIDTHxHEIGHT:BITDEPTH:CHROMA") from None
+    except video_io.VideoFormatError as exc:
+        raise UsageError(f"--raw-geometry {text!r}: {exc}") from None
 
 
 def _is_y4m(path: str) -> bool:
@@ -92,24 +93,27 @@ def _is_y4m(path: str) -> bool:
         return fh.read(9) == b"YUV4MPEG2"
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
+    """A flag value that breaks its rule is a usage error naming the flag."""
+    if not ok:
+        raise UsageError(f"{flag} must be {rule}, got {value}")
+
+
+def _check_qp(flag: str, qp: int) -> None:
+    _check_flag(flag, qp, 0 <= qp <= tables.QP_MAX, f"in [0, {tables.QP_MAX}]")
 
 
 def cmd_analyze(args) -> int:
-    _check_threads(args)
+    _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
+    _check_flag("--block-size", args.block_size, args.block_size in feat.BLOCK_SIZES,
+                "a power of two in [8, 64]")
     if _is_y4m(args.input):
         frames = video_io.open_y4m(args.input)
     else:
         if not args.raw_geometry:
             raise UsageError("headerless input requires --raw-geometry")
-        geometry = _parse_raw_geometry(args.raw_geometry, (30, 1))
-        frames = video_io.open_raw_yuv(args.input, geometry)
-    cfg = feat.AnalyzerConfig(
-        block_size_luma=args.block_size,
-        block_size_chroma=max(8, args.block_size // 2),
-    )
+        frames = video_io.open_raw_yuv(args.input, _parse_raw_geometry(args.raw_geometry))
+    cfg = feat.AnalyzerConfig(block_size_luma=args.block_size)
     start = time.perf_counter()
     rows = feat.extract_sequence(frames, cfg, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -132,17 +136,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_threads(args)
+    _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
+    _check_flag("--trees", args.trees, args.trees >= 1, "at least 1")
+    _check_flag("--max-depth", args.max_depth, args.max_depth >= 1, "at least 1")
+    _check_flag("--seed", args.seed, args.seed >= 0, "at least 0")
+    _check_flag("--holdout", args.holdout, args.holdout is None or 0.0 < args.holdout < 1.0,
+                "a fraction in (0, 1)")
     X, y = forest.read_training_csv(args.data)
-    hp = forest.ForestHyperparams(
-        n_estimators=args.trees, max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf, min_samples_split=args.min_samples_split,
-        seed=args.seed, max_features=args.max_features,
-    )
+    hp = forest.ForestHyperparams(n_estimators=args.trees, max_depth=args.max_depth,
+                                  seed=args.seed)
     holdout_stats = None
-    if args.holdout:
-        if not 0.0 < args.holdout < 1.0:
-            raise UsageError("--holdout must be a fraction in (0, 1)")
+    if args.holdout is not None:
         rng = np.random.default_rng(args.seed)
         perm = rng.permutation(len(y))
         n_test = max(1, int(round(args.holdout * len(y))))
@@ -185,6 +189,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_qp("--qp", args.qp)
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
     bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
@@ -223,6 +228,7 @@ def _log_encoder(path: str, frame_indices: set[int]):
 
 
 def cmd_rc(args) -> int:
+    _check_qp("--first-pass-qp", args.first_pass_qp)
     rows = feat.read_features_csv(args.features)
     fps = _parse_fps(args.fps)
     width, height = _parse_resolution(args.resolution)
@@ -316,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--min-samples-split", type=int, default=2)
-    p.add_argument("--max-features", type=int, default=forest.N_FEATURES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--holdout", type=float, default=None,
                    help="held-out fraction for R2/MAE reporting")

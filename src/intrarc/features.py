@@ -34,16 +34,23 @@ NEUTRAL_CHROMA_LEVEL = 0.5
 # a few strips (8 MB each at 2160p with 32x32 blocks), not the whole plane.
 STRIP_BLOCK_ROWS = 8
 
+# Luma DCT block sizes; chroma uses half the luma size, at least 8.
+BLOCK_SIZES = (8, 16, 32, 64)
+
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
     block_size_luma: int = 32
-    block_size_chroma: int = 16
 
     def __post_init__(self):
-        for size in (self.block_size_luma, self.block_size_chroma):
-            if size < 8 or size > 64 or size & (size - 1):
-                raise ValueError(f"block size {size} must be a power of two in [8, 64]")
+        size = self.block_size_luma
+        if size not in BLOCK_SIZES:
+            raise ValueError(f"block size {size} must be a power of two in [8, 64]")
+
+    @property
+    def block_size_chroma(self) -> int:
+        """Chroma planes are subsampled 2x, so their blocks are half the luma size."""
+        return max(8, self.block_size_luma // 2)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Random-forest regression from complexity features + QP to frame bits.
 
 The forest is grown from scratch so that training is bit-reproducible:
-every tree gets its own PRNG derived from (seed, tree_index), bootstrap
-resamples have |samples| draws with replacement, and CART splits
-maximize variance reduction with thresholds at midpoints between
-consecutive distinct sorted values. Split-score ties break toward the
-lowest feature index, then the lowest threshold. Leaves store the mean
-target of their samples.
+every tree gets its own PRNG derived from (seed, tree_index), which
+draws only its bootstrap resample of |samples| rows with replacement.
+CART splits search every input at every node, maximize variance
+reduction and put thresholds at midpoints between consecutive distinct
+sorted values. Split-score ties break toward the lowest feature index,
+then the lowest threshold. Leaves store the mean target of their
+samples.
 
 Trees are grown breadth-first, so their nodes sit in level order and
 the k-th split node's children are at slots 1 + 2k and 2 + 2k. Models
 serialize to a compact little-endian binary: magic "IRCF", a format
-version, the hyperparameters, the training feature range, per tree the
-node count, the feature of every node and the value of every node (the
-threshold at a split node, the mean at a leaf), and a trailing CRC-32.
+version, the tree count, depth limit and seed, the training sample
+count, the training feature range, per tree the node count, the
+feature of every node and the value of every node (the threshold at a
+split node, the mean at a leaf), and a trailing CRC-32.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -35,8 +37,8 @@ TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
 INPUT_NAMES = tuple(TRAINING_COLUMNS)[1:1 + N_FEATURES]
 
 _MAGIC = b"IRCF"
-_VERSION = 3
-_HEADER = struct.Struct("<4sIIIIIqIQ")
+_VERSION = 4
+_HEADER = struct.Struct("<4sIIIqQ")
 
 
 class ModelFormatError(Exception):
@@ -47,18 +49,16 @@ class ModelFormatError(Exception):
 class ForestHyperparams:
     n_estimators: int = 100
     max_depth: int = 12
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
     seed: int = 0
-    max_features: int = N_FEATURES
+    # Fixed split rules: any node with two distinct targets may split, a
+    # leaf may hold one sample, and every input is searched at every split.
+    min_samples_leaf: ClassVar[int] = 1
+    min_samples_split: ClassVar[int] = 2
+    max_features: ClassVar[int] = N_FEATURES
 
     def __post_init__(self):
         if self.n_estimators < 1 or self.max_depth < 1:
             raise ValueError("n_estimators and max_depth must be >= 1")
-        if self.min_samples_split < 2 or self.min_samples_leaf < 1:
-            raise ValueError("min_samples_split >= 2 and min_samples_leaf >= 1 required")
-        if not 1 <= self.max_features <= N_FEATURES:
-            raise ValueError(f"max_features must be in [1, {N_FEATURES}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -108,12 +108,12 @@ class ForestModel:
         return predict_batch(self, X)
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
-    """Best (feature column, threshold, gain, sorted order, position) or None.
+def _best_split(Xn: np.ndarray, yn: np.ndarray):
+    """Best (feature, threshold, gain, sorted order, position) or None.
 
     Gain is the SSE reduction of the node's samples; candidate cut
     points sit between consecutive distinct sorted values. First-match
-    argmax realizes the lowest-threshold / lowest-column tie-break.
+    argmax realizes the lowest-threshold / lowest-feature tie-break.
     """
     n = yn.size
     order = np.argsort(Xn, axis=0, kind="stable")
@@ -122,11 +122,7 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
     left_sum = np.cumsum(ys, axis=0)[:-1]
     k = np.arange(1, n, dtype=np.float64)
     gains = left_sum**2 * (n / (k * (n - k)))[:, None]
-    valid = xs[1:] != xs[:-1]
-    if min_leaf > 1:
-        valid[: min_leaf - 1] = False
-        valid[n - min_leaf:] = False
-    gains[~valid] = -np.inf
+    gains[xs[1:] == xs[:-1]] = -np.inf
     pos = np.argmax(gains, axis=0)
     col_gain = gains[pos, np.arange(gains.shape[1])]
     col = int(np.argmax(col_gain))
@@ -137,11 +133,10 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, min_leaf: int):
     return col, threshold, float(col_gain[col]), order[:, col], p
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams,
-               rng: np.random.Generator) -> tuple[Tree, np.ndarray]:
+def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
     """One tree, and the SSE reduction of its splits summed per input."""
     # A tree has at most one leaf per sample and 2**max_depth leaves.
-    cap = min(2 * y.size - 1, 2 ** (hp.max_depth + 1) - 1)
+    cap = min(2 * y.size - 1, 2 ** (max_depth + 1) - 1)
     feature = np.full(cap, -1, dtype=np.int8)
     value = np.zeros(cap)
     gains = np.zeros(N_FEATURES)
@@ -149,23 +144,18 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams,
     # FIFO: nodes are split in slot order, which puts the k-th split
     # node's children at 1 + 2k and 2 + 2k.
     queue = deque([(np.arange(y.size), 0, 0)])
-    subset = hp.max_features < N_FEATURES
     while queue:
         idx, depth, slot = queue.popleft()
         yn = y[idx]
         found = None
-        if depth < hp.max_depth and idx.size >= hp.min_samples_split and yn.max() != yn.min():
-            if subset:
-                cand = np.sort(rng.choice(N_FEATURES, size=hp.max_features, replace=False))
-            else:
-                cand = np.arange(N_FEATURES)
-            found = _best_split(X[np.ix_(idx, cand)], yn, hp.min_samples_leaf)
+        if depth < max_depth and yn.max() != yn.min():
+            found = _best_split(X[idx], yn)
         if found is None:
             value[slot] = yn.mean()
             continue
         col, thr, g, order, p = found
-        feature[slot], value[slot] = cand[col], thr
-        gains[cand[col]] += g
+        feature[slot], value[slot] = col, thr
+        gains[col] += g
         queue.append((idx[order[: p + 1]], depth + 1, n_nodes))
         queue.append((idx[order[p + 1:]], depth + 1, n_nodes + 1))
         n_nodes += 2
@@ -209,9 +199,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
     n = X.shape[0]
 
     def build(t: int) -> tuple[Tree, np.ndarray]:
-        rng = _tree_rng(hp.seed, t)
-        boot = rng.integers(0, n, size=n)
-        return _grow_tree(X[boot], y[boot], hp, rng)
+        boot = _tree_rng(hp.seed, t).integers(0, n, size=n)
+        return _grow_tree(X[boot], y[boot], hp.max_depth)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -272,9 +261,8 @@ def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:
 def save(model: ForestModel, path: str) -> int:
     """Serialize a model; returns the file size in bytes."""
     hp = model.hyperparams
-    chunks = [_HEADER.pack(_MAGIC, _VERSION, hp.n_estimators, hp.max_depth,
-                           hp.min_samples_leaf, hp.min_samples_split, hp.seed,
-                           hp.max_features, model.n_samples)]
+    chunks = [_HEADER.pack(_MAGIC, _VERSION, hp.n_estimators, hp.max_depth, hp.seed,
+                           model.n_samples)]
     chunks.append(model.feature_min.astype("<f8").tobytes())
     chunks.append(model.feature_max.astype("<f8").tobytes())
     for tree in model.trees:
@@ -333,16 +321,11 @@ def load(path: str) -> ForestModel:
     if zlib.crc32(body) != crc:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
     rd = _Reader(body)
-    magic, version, n_est, max_depth, msl, mss, seed, max_feat, n_samples = _HEADER.unpack(
-        rd.take(_HEADER.size)
-    )
+    magic, version, n_est, max_depth, seed, n_samples = _HEADER.unpack(rd.take(_HEADER.size))
     if version != _VERSION:
         raise ModelFormatError(f"{path}: format version {version}, expected {_VERSION}")
     try:
-        hp = ForestHyperparams(
-            n_estimators=n_est, max_depth=max_depth, min_samples_leaf=msl,
-            min_samples_split=mss, seed=seed, max_features=max_feat,
-        )
+        hp = ForestHyperparams(n_estimators=n_est, max_depth=max_depth, seed=seed)
         fmin = rd.array("<f8", N_FEATURES)
         fmax = rd.array("<f8", N_FEATURES)
         trees = [_read_tree(rd) for _ in range(n_est)]

@@ -17,7 +17,7 @@ from intrarc import features as feat
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
-from conftest import make_frame, malform_model
+from conftest import FIRST_TREE, make_frame, malform_model
 
 
 @pytest.fixture
@@ -176,8 +176,8 @@ class TestPredict:
         assert len(lines) == 5
 
     @pytest.mark.parametrize("offset, value, message", [
-        (4, 2, "format version 2, expected 3"),  # a v2 file
-        (44 + 2 * 7 * 8 + 4, 9, "feature outside [-1, 6]"),  # first node's feature
+        (4, 3, "format version 3, expected 4"),  # a v3 file
+        (FIRST_TREE + 4, 9, "feature outside [-1, 6]"),  # first node's feature
     ])
     def test_bad_model_file_is_data_error(self, tmp_path, training_csv, capsys,
                                           offset, value, message):
@@ -610,6 +610,54 @@ class TestUsage:
         assert run(subcommand, *source, "--threads", threads, "--out", out) == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--input", "{y4m}", "--block-size", 48, "--out", "{out}"],
+         "--block-size must be a power of two in [8, 64], got 48"),
+        (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:8", "--out", "{out}"],
+         "--raw-geometry '128x64:8' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
+        (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:abc:420", "--out", "{out}"],
+         "--raw-geometry '128x64:abc:420' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
+        (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:12:420", "--out", "{out}"],
+         "--raw-geometry '128x64:12:420': bit depth 12 not in {8, 10}"),
+        (["train", "--data", "{train}", "--trees", 0, "--out", "{out}"],
+         "--trees must be at least 1, got 0"),
+        (["train", "--data", "{train}", "--max-depth", 0, "--out", "{out}"],
+         "--max-depth must be at least 1, got 0"),
+        (["train", "--data", "{train}", "--seed", -1, "--out", "{out}"],
+         "--seed must be at least 0, got -1"),
+        (["train", "--data", "{train}", "--holdout", 0, "--out", "{out}"],
+         "--holdout must be a fraction in (0, 1), got 0.0"),
+        (["predict", "--model", "{model}", "--features", "{feats}", "--qp", 99, "--out", "{out}"],
+         "--qp must be in [0, 63], got 99"),
+        (["rc", "--features", "{feats}", "--model", "{model}", "--first-pass-qp", 99,
+          "--bitrate", 1e5, "--resolution", "64x64", "--trace", "{out}"],
+         "--first-pass-qp must be in [0, 63], got 99"),
+    ], ids=["block-size", "raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
+            "trees", "max-depth", "seed", "holdout", "qp", "first-pass-qp"])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, y4m_file, training_csv, rng,
+                                           capsys, argv, message):
+        raw = tmp_path / "clip.yuv"
+        vio.write_raw_yuv(str(raw), [make_frame(rng, width=128)])
+        model = tmp_path / "m.ircf"
+        forest.save(forest.train_arrays(*forest.read_training_csv(str(training_csv)),
+                                        forest.ForestHyperparams(n_estimators=2, max_depth=3)),
+                    str(model))
+        feats, _ = _features_csv(tmp_path, n=3)
+        out = tmp_path / "out"
+        paths = dict(y4m=y4m_file, raw=raw, train=training_csv, model=model, feats=feats, out=out)
+        assert run(*[str(a).format(**paths) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-features", 3), ("--min-samples-leaf", 2), ("--min-samples-split", 3),
+    ])
+    def test_fixed_split_rules_are_not_flags(self, tmp_path, training_csv, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run("train", "--data", training_csv, flag, value, "--out", tmp_path / "m.ircf")
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import time
@@ -274,5 +275,6 @@ def test_flat_frames_have_zero_energy_any_level(value):
 def test_block_size_validation():
     with pytest.raises(ValueError):
         feat.AnalyzerConfig(block_size_luma=48)
-    with pytest.raises(ValueError):
-        feat.AnalyzerConfig(block_size_chroma=4)
+    assert [f.name for f in dataclasses.fields(feat.AnalyzerConfig)] == ["block_size_luma"]
+    assert [feat.AnalyzerConfig(size).block_size_chroma for size in feat.BLOCK_SIZES] == [
+        8, 8, 16, 32]

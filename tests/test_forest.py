@@ -43,7 +43,47 @@ def brute_force_best_split(X, y):
     return best
 
 
+# The trees of a 3-tree, depth-4 forest on 300 simulated rows: per tree,
+# every node's feature and its value to 12 significant digits. Any rewrite
+# of the grower has to reproduce them.
+PINNED_TREES = [
+    ([6, 0, 6, 0, 0, 0, 6, 0, -1, 6, 6, 0, 0, 0, 0] + [-1] * 14,
+     [23.5, 0.415974727714, 28.5, 0.334173968127, 0.581326412738, 0.392701255588, 36.5,
+      0.145108982708, 428191, 18.5, 20.5, 0.176307088922, 0.675074093896, 0.548605672979,
+      0.657634997441, 141237, 269712.666667, 712889, 509264.833333, 785518.3, 596014.7,
+      66280.2, 154676.5, 242672.352941, 390050.5, 55336.6086957, 153042.473684, 24159.4375,
+      59111.6285714]),
+    ([6, 0, 6, 0, 4, 0, 0, 2, 0, 4, 2, 0, 6, 6, 6] + [-1] * 16,
+     [22.5, 0.511966711906, 29.5, 0.449945515788, 0.45723484662, 0.666709530237,
+      0.722549548317, 0.703006922864, 0.50257864026, 0.0794307756359, 0.523310359327,
+      0.176307088922, 25.5, 36.5, 37.5, 249138.333333, 341771, 511278.666667, 441084, 701845,
+      844943.125, 737745, 618389, 76009.7857143, 195373.177778, 480515.375, 298314.222222,
+      61829.7659574, 27197.1485149, 144972.434783, 61974.7]),
+    ([6, 0, 6, 0, 6, 0, 0, 0, 2, 3, 0, 0, 0, 6, 6] + [-1] * 16,
+     [23.5, 0.511966711906, 29.5, 0.145108982708, 20.5, 0.513479975724, 0.497016789251,
+      0.104189558154, 0.520701768873, 0.598860973873, 0.762539234211, 0.176957235466,
+      0.940740650401, 35.5, 34.5, 109458, 173016, 247659.6, 351141.6, 845395.857143,
+      637255.222222, 509736, 627647, 64083.0909091, 173450.692308, 277793.75, 505814.5,
+      51134.85, 20462.0361446, 152339.772727, 62895.2295082]),
+]
+
+
+def test_small_forest_trees_are_pinned():
+    data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=7)
+    model = forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=4))
+    assert len(model.trees) == len(PINNED_TREES)
+    for tree, (feature, value) in zip(model.trees, PINNED_TREES):
+        assert tree.feature.tolist() == feature
+        assert tree.value.tolist() == pytest.approx(value, rel=1e-11)
+
+
 class TestTraining:
+    def test_split_rules_are_constants(self):
+        fields = [f.name for f in dataclasses.fields(forest.ForestHyperparams)]
+        assert fields == ["n_estimators", "max_depth", "seed"]
+        hp = forest.ForestHyperparams
+        assert (hp.min_samples_leaf, hp.min_samples_split, hp.max_features) == (1, 2, 7)
+
     def test_constant_targets_single_leaf(self):
         samples = [forest.TrainingSample(CONST_FEATURES, q, 1000.0)
                    for q in (10, 20, 30, 40, 50, 15, 25, 35, 45, 55)]
@@ -118,7 +158,7 @@ class TestTraining:
         data = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
         X, y = forest.samples_to_arrays(data)
         hp = forest.ForestHyperparams(max_depth=6)
-        tree, _ = forest._grow_tree(X, y, hp, forest._tree_rng(0, 0))
+        tree, _ = forest._grow_tree(X, y, hp.max_depth)
         kids = children(tree)
         depth = np.zeros(tree.n_nodes, dtype=int)
         for slot, (left, right) in kids.items():
@@ -262,11 +302,11 @@ class TestSerialization:
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         body = bytearray(path.read_bytes()[:-4])
-        for version in (2, 99):  # the previous format, and one from the future
+        for version in (3, 99):  # the previous format, and one from the future
             body[4:8] = version.to_bytes(4, "little")
             reseal(path, body)
             with pytest.raises(forest.ModelFormatError,
-                               match=f"format version {version}, expected 3"):
+                               match=f"format version {version}, expected 4"):
                 forest.load(str(path))
 
     def test_size_matches_documented_layout(self, tmp_path):
