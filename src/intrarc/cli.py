@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -75,17 +76,25 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         raise UsageError(f"--resolution {text!r} is not WIDTHxHEIGHT") from None
 
 
+@contextmanager
+def _flag_values(flags: str):
+    """A value that the class built from `flags` rejects is a usage error naming them."""
+    try:
+        yield
+    except (ValueError, video_io.VideoFormatError) as exc:
+        raise UsageError(f"{flags}: {exc}") from None
+
+
 def _parse_raw_geometry(text: str) -> video_io.VideoGeometry:
     """WIDTHxHEIGHT:BITDEPTH:CHROMA, e.g. 1920x1080:8:420."""
     try:
         dims, bits, chroma = text.split(":")
         w, h = dims.lower().split("x")
-        return video_io.VideoGeometry(width=int(w), height=int(h), bit_depth=int(bits),
-                                      chroma_format=chroma)
+        w, h, bits = int(w), int(h), int(bits)
     except ValueError:
         raise UsageError(f"--raw-geometry {text!r} is not WIDTHxHEIGHT:BITDEPTH:CHROMA") from None
-    except video_io.VideoFormatError as exc:
-        raise UsageError(f"--raw-geometry {text!r}: {exc}") from None
+    with _flag_values(f"--raw-geometry {text!r}"):
+        return video_io.VideoGeometry(width=w, height=h, bit_depth=bits, chroma_format=chroma)
 
 
 def _is_y4m(path: str) -> bool:
@@ -97,10 +106,6 @@ def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
     """A flag value that breaks its rule is a usage error naming the flag."""
     if not ok:
         raise UsageError(f"{flag} must be {rule}, got {value}")
-
-
-def _check_qp(flag: str, qp: int) -> None:
-    _check_flag(flag, qp, 0 <= qp <= tables.QP_MAX, f"in [0, {tables.QP_MAX}]")
 
 
 def cmd_analyze(args) -> int:
@@ -189,7 +194,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_qp("--qp", args.qp)
+    _check_flag("--qp", args.qp, 0 <= args.qp <= tables.QP_MAX, f"in [0, {tables.QP_MAX}]")
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
     bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
@@ -228,17 +233,17 @@ def _log_encoder(path: str, frame_indices: set[int]):
 
 
 def cmd_rc(args) -> int:
-    _check_qp("--first-pass-qp", args.first_pass_qp)
-    rows = feat.read_features_csv(args.features)
-    fps = _parse_fps(args.fps)
+    _check_flag("--seed", args.seed, args.seed >= 0, "at least 0")
+    fps_num, fps_den = _parse_fps(args.fps)
     width, height = _parse_resolution(args.resolution)
-    resolution = video_io.VideoGeometry(width=width, height=height,
-                                        fps_num=fps[0], fps_den=fps[1])
-    cfg = rc.RcConfig(
-        target_bitrate=args.bitrate, fps_num=fps[0], fps_den=fps[1],
-        resolution=resolution, c_low=args.c_low, first_pass_qp=args.first_pass_qp,
-        deficit_gain=args.deficit_gain,
-    )
+    with _flag_values(f"--resolution {args.resolution!r}"):
+        resolution = video_io.VideoGeometry(width=width, height=height)
+    with _flag_values(f"--bitrate {args.bitrate} --fps {args.fps!r}"):
+        cfg = rc.RcConfig(target_bitrate=args.bitrate, fps_num=fps_num, fps_den=fps_den,
+                          resolution=resolution)
+    with _flag_values(f"--sim-noise {args.sim_noise} --sim-seed {args.sim_seed}"):
+        sim_params = sim.SimParams(noise_sigma=args.sim_noise, seed=args.sim_seed)
+    rows = feat.read_features_csv(args.features)
 
     if args.first_pass == "noise":
         noise = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
@@ -249,9 +254,6 @@ def cmd_rc(args) -> int:
         model = forest.load(args.model)
         records = rc.build_first_pass(rows, model, cfg)
 
-    sim_params = sim.SimParams(kappa=args.sim_kappa, gamma=args.sim_gamma,
-                               delta=args.sim_delta, noise_sigma=args.sim_noise,
-                               seed=args.sim_seed)
     if args.encoder == "sim":
         encoder = sim.make_encoder(rows, resolution.pixels, sim_params)
     elif args.encoder.startswith("log:"):
@@ -345,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", default="30", help="frames/second, e.g. 30 or 30000/1001")
     p.add_argument("--resolution", required=True, help="WxH, drives the high-rate correction")
     p.add_argument("--encoder", default="sim", help="'sim' or 'log:<csv path>'")
-    p.add_argument("--c-low", type=float, default=1.0)
-    p.add_argument("--first-pass-qp", type=int, default=32)
-    p.add_argument("--deficit-gain", type=float, default=0.5)
-    p.add_argument("--sim-kappa", type=float, default=1.0)
-    p.add_argument("--sim-gamma", type=float, default=0.8)
-    p.add_argument("--sim-delta", type=float, default=6.0)
     p.add_argument("--sim-noise", type=float, default=0.0)
     p.add_argument("--sim-seed", type=int, default=0)
     p.add_argument("--trace", required=True, help="per-frame trace CSV output")

@@ -147,11 +147,13 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int) -> tuple[Tree, np.n
     while queue:
         idx, depth, slot = queue.popleft()
         yn = y[idx]
+        lo, hi = yn.min(), yn.max()
         found = None
-        if depth < max_depth and yn.max() != yn.min():
+        if depth < max_depth and hi != lo:
             found = _best_split(X[idx], yn)
         if found is None:
-            value[slot] = yn.mean()
+            # The rounded mean can land an ulp outside its samples' range.
+            value[slot] = min(max(yn.mean(), lo), hi)
             continue
         col, thr, g, order, p = found
         feature[slot], value[slot] = col, thr

@@ -57,22 +57,22 @@ class RcConfig:
     fps_num: int
     resolution: VideoGeometry
     fps_den: int = 1
-    c_low: float = 1.0
-    first_pass_qp: int = 32
-    deficit_gain: float = 0.5   # fraction of the deficit recovered per frame
+    # The paper's fixed second-pass constants.
+    c_low: ClassVar[float] = 1.0
+    first_pass_qp: ClassVar[int] = 32
+    deficit_gain: ClassVar[float] = 0.5   # fraction of the deficit recovered per frame
     q_start: ClassVar[int] = 24
 
     def __post_init__(self):
-        if not (math.isfinite(self.target_bitrate) and self.target_bitrate > 0):
-            raise ValueError("target_bitrate must be finite and positive")
-        if not math.isfinite(self.c_low):
-            raise ValueError("c_low must be finite")
         if self.fps_num <= 0 or self.fps_den <= 0:
             raise ValueError("frame rate must be positive")
-        if not 0.0 < self.deficit_gain <= 1.0:
-            raise ValueError("deficit_gain must be in (0, 1]")
-        if not 0 <= self.first_pass_qp <= tables.QP_MAX:
-            raise ValueError(f"first_pass_qp outside [0, {tables.QP_MAX}]")
+        try:
+            budget = self.frame_budget
+        except OverflowError:
+            budget = math.inf
+        if not (math.isfinite(budget) and budget > 0):
+            raise ValueError("frame budget target_bitrate * fps_den / fps_num must be "
+                             f"finite and positive, got {budget}")
 
     @property
     def frame_budget(self) -> float:

@@ -12,12 +12,13 @@ here is pure and safe to evaluate in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from intrarc.features import FrameFeatures
 from intrarc.forest import TrainingSample
-from intrarc.tables import QP_MAX
+from intrarc.tables import BITS, QP_MAX
 
 PSNR_FLOOR = 20.0
 PSNR_CEIL = 99.0
@@ -25,22 +26,24 @@ PSNR_CEIL = 99.0
 
 @dataclass(frozen=True)
 class SimParams:
-    kappa: float               # bits per pixel at q=0 and unit texture factor
+    kappa: float = 1.0         # bits per pixel at q=0 and unit texture factor
     gamma: float = 0.8
     delta: float = 6.0         # QP interval over which spend halves
     noise_sigma: float = 0.0   # lognormal log-std of multiplicative noise
-    psnr_intercept: float = 60.0
-    psnr_slope: float = 0.7
     seed: int = 0
+    psnr_intercept: ClassVar[float] = 60.0
+    psnr_slope: ClassVar[float] = 0.7
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "delta", "noise_sigma", "psnr_intercept", "psnr_slope"):
+        for name in ("kappa", "gamma", "delta", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}={getattr(self, name)} must be finite")
-        if self.kappa <= 0 or self.delta <= 0 or self.psnr_slope <= 0:
-            raise ValueError("kappa, delta and psnr_slope must be positive")
+        if self.kappa <= 0 or self.delta <= 0:
+            raise ValueError("kappa and delta must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
 
 
 def _rate_law(e_y, q, pixels: int, params: SimParams):
@@ -53,7 +56,8 @@ def expected_bits(features: FrameFeatures, q: int, pixels: int, params: SimParam
 
 
 def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) -> int:
-    """Bits spent encoding one frame at QP q (>= 1)."""
+    """Bits spent encoding one frame at QP q, clamped to [1, 2^53] like the
+    bits of an encoder log."""
     if not 0 <= q <= QP_MAX:
         raise ValueError(f"q={q} outside [0, {QP_MAX}]")
     if pixels <= 0:
@@ -65,7 +69,7 @@ def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) ->
         )
         noise = float(np.exp(rng.normal(0.0, params.noise_sigma)))
     raw = expected_bits(features, q, pixels, params) * noise
-    return max(1, int(np.floor(raw + 0.5)))
+    return int(min(BITS.hi, max(1.0, np.floor(raw + 0.5))))
 
 
 def sim_psnr(q: int, params: SimParams) -> float:

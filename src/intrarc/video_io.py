@@ -46,6 +46,8 @@ class VideoGeometry:
             raise VideoFormatError(
                 f"frame size {self.width}x{self.height} below 64x64 minimum"
             )
+        if self.pixels > 2**53:   # a sample count a float holds exactly
+            raise VideoFormatError(f"frame size {self.width}x{self.height} above 2^53 samples")
         if self.chroma_format not in ("420", "400"):
             raise VideoFormatError(f"unsupported chroma format {self.chroma_format!r}")
         if self.chroma_format == "420" and (self.width % 2 or self.height % 2):

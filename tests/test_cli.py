@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import intrarc
 from intrarc import cli, forest, metrics
 from intrarc import features as feat
+from intrarc import ratecontrol as rc_mod
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
@@ -252,7 +253,6 @@ class TestRc:
         assert run(*args, "--model", model_path, "--trace", trace_m) == 0
         trace_n = tmp_path / "trace_noise.csv"
         assert run(*args, "--first-pass", "noise", "--seed", 1, "--trace", trace_n) == 0
-        from intrarc import ratecontrol as rc_mod
         q_model = [d.q_prime_p for d in rc_mod.read_trace_csv(str(trace_m))]
         q_noise = [d.q_prime_p for d in rc_mod.read_trace_csv(str(trace_n))]
         assert np.std(q_model) < np.std(q_noise)
@@ -299,7 +299,6 @@ class TestRc:
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", 1e6, "--resolution", "1920x1080",
                    "--encoder", f"log:{log}", "--trace", trace) == 0
-        from intrarc import ratecontrol as rc_mod
         assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 11))
 
     def test_log_encoder_short_row_names_line(self, tmp_path, capsys):
@@ -327,17 +326,13 @@ class TestRc:
                    "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--sim-noise", "nan", "noise_sigma"),
-        ("--sim-gamma", "nan", "gamma"),
-        ("--sim-kappa", "inf", "kappa"),
-    ])
-    def test_non_finite_sim_param_is_data_error(self, tmp_path, capsys, flag, value, field):
+    def test_non_finite_sim_noise_is_usage_error(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
-                   "--bitrate", 1e6, "--resolution", "1920x1080", flag, value,
-                   "--trace", tmp_path / "t.csv") == 3
-        assert f"{field}={value} must be finite" in capsys.readouterr().err
+                   "--bitrate", 1e6, "--resolution", "1920x1080", "--sim-noise", "nan",
+                   "--trace", tmp_path / "t.csv") == 2
+        assert "--sim-noise nan --sim-seed 0: noise_sigma=nan must be finite" \
+            in capsys.readouterr().err
 
     def test_duplicate_frame_index_is_data_error(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -369,15 +364,14 @@ class TestRc:
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", self._target(feats, 30, 1920 * 1080),
                    "--resolution", "1920x1080", "--trace", trace) == 0
-        from intrarc import ratecontrol as rc_mod
         assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 25))
 
-    def test_nan_bitrate_is_data_error(self, tmp_path, capsys):
+    def test_nan_bitrate_is_usage_error(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", "nan", "--resolution", "1920x1080",
-                   "--trace", tmp_path / "t.csv") == 3
-        assert "target_bitrate" in capsys.readouterr().err
+                   "--trace", tmp_path / "t.csv") == 2
+        assert "--bitrate nan --fps '30': frame budget" in capsys.readouterr().err
 
     def test_bad_resolution_is_usage_error(self, tmp_path):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -403,6 +397,146 @@ class TestRc:
                        "--trace", trace, "--report", report) == 0
             outs.append((trace.read_bytes(), report.read_bytes()))
         assert outs[0] == outs[1]
+
+
+# Captured from the code before the second-pass constants were folded in.
+PINNED_RC = {
+    "model": {
+        "q_prime": [
+            21, 20, 20, 28, 28, 30, 30, 22, 24, 31, 25, 31, 31, 23, 24, 28, 21, 30, 28, 26, 15,
+            20, 20, 13, 19, 24, 23, 31, 24, 21, 22, 28, 31, 31, 32, 19, 30, 24, 30, 20
+        ],
+        "actual_bits": [
+            166787, 69068, 100836, 231511, 240938, 204183, 196173, 194271, 254374, 201103, 230092,
+            185292, 178618, 183394, 220723, 221531, 193592, 155023, 292892, 183960, 126566,
+            167634, 87572, 136872, 141311, 471287, 180729, 227680, 367953, 68488, 231867, 216594,
+            211278, 182927, 162678, 88505, 273950, 207402, 185957, 133980
+        ],
+        "deficit": [
+            "-33412.9666", "-164544.933", "-263908.9", "-232597.867", "-191859.833", "-187876.8",
+            "-191903.766", "-197832.733", "-143658.7", "-142755.666", "-112863.633", "-127771.6",
+            "-149353.566", "-166159.533", "-145636.499", "-124305.466", "-130913.433",
+            "-176090.399", "-83398.366", "-99638.3327", "-173272.299", "-205838.266",
+            "-318466.233", "-381794.199", "-440683.166", "-169596.132", "-189067.099",
+            "-161587.066", "6165.96763", "-125545.999", "-93878.9656", "-77484.9323",
+            "-66406.8989", "-83679.8655", "-121201.832", "-232896.799", "-159146.765",
+            "-151944.732", "-166187.699", "-232407.665"
+        ],
+        "report": {
+            "bitrate_deviation": "-0.0290219411",
+            "fps": "30000/1001",
+            "mean_qp": "24.95",
+            "target_bitrate": "5999999",
+            "total_bits": "7775591",
+        },
+    },
+    "noise": {
+        "q_prime": [
+            41, 0, 39, 25, 31, 33, 0, 63, 63, 63, 63, 63, 63, 63, 32, 63, 63, 63, 63, 63, 63, 63,
+            63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 32, 63, 63, 32
+        ],
+        "actual_bits": [
+            13427, 559204, 16704, 375381, 168814, 159100, 7147417, 1559, 2853, 5160, 2922, 5233,
+            4122, 1720, 94481, 4265, 1372, 4050, 4122, 2239, 389, 1068, 682, 499, 1151, 4359,
+            2012, 5358, 3018, 504, 2019, 3894, 5250, 3735, 4972, 546, 224640, 2154, 4377, 25316
+        ],
+        "deficit": [
+            "-186772.967", "172231.067", "-11264.8999", "163916.133", "132530.167", "91430.2002",
+            "7038647.23", "6840006.27", "6642659.3", "6447619.33", "6250341.37", "6055374.4",
+            "5859296.43", "5660816.47", "5555097.5", "5359162.53", "5160334.57", "4964184.6",
+            "4768106.63", "4570145.67", "4370334.7", "4171202.73", "3971684.77", "3771983.8",
+            "3572934.83", "3377093.87", "3178905.9", "2984063.93", "2786881.97", "2587186",
+            "2389005.03", "2192699.07", "1997749.1", "1801284.13", "1606056.17", "1406402.2",
+            "1430842.23", "1232796.27", "1036973.3", "862089.335"
+        ],
+        "report": {
+            "bitrate_deviation": "0.107653531",
+            "fps": "30000/1001",
+            "mean_qp": "53.875",
+            "target_bitrate": "5999999",
+            "total_bits": "8870088",
+        },
+    },
+}
+
+
+def pinned_rc_run(tmp_path, first_pass):
+    """40 frames through `rc` with a 3-tree model or a noise first pass:
+    the trace's q_prime, actual bits and deficit (to 9 significant digits)
+    and the report (floats to 9 significant digits)."""
+    data = sim.generate_dataset(400, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=5)
+    model = tmp_path / "m.ircf"
+    forest.save(forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=8)),
+                str(model))
+    feats, _ = _features_csv(tmp_path, n=40, seed=11)
+    trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+    if first_pass == "model":
+        source = ["--model", model]
+    else:
+        source = ["--first-pass", "noise", "--seed", 3]
+    assert run("rc", "--features", feats, *source, "--bitrate", 5999999, "--fps", "30000/1001",
+               "--resolution", "3840x2160", "--sim-noise", 0.1, "--sim-seed", 2,
+               "--trace", trace, "--report", report) == 0
+    decisions = rc_mod.read_trace_csv(str(trace))
+    summary = json.loads(report.read_text())
+    return ([d.q_prime_p for d in decisions], [int(d.actual_bits) for d in decisions],
+            [f"{d.deficit:.9g}" for d in decisions],
+            {k: f"{v:.9g}" if isinstance(v, float) else v for k, v in summary.items()})
+
+
+class TestRcPinned:
+    """rc output of a fixed model and seeds, pinned across code versions."""
+
+    @pytest.mark.parametrize("first_pass", sorted(PINNED_RC))
+    def test_trace_and_report_match(self, tmp_path, first_pass):
+        q_prime, actual_bits, deficit, report = pinned_rc_run(tmp_path, first_pass)
+        pinned = PINNED_RC[first_pass]
+        assert q_prime == pinned["q_prime"]
+        assert actual_bits == pinned["actual_bits"]
+        assert deficit == pinned["deficit"]
+        assert report == pinned["report"]
+
+
+def _flag_number():
+    return st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "5e-324", "1e308", "1.7e308",
+                         "64", "1" * 400, "-" + "1" * 400]),
+        st.integers(-10, 10**6).map(str),
+        st.floats().map(repr),
+    )
+
+
+# Numbers, N/D ratios, WxH pairs and arbitrary text.
+FLAG_VALUES = st.one_of(
+    _flag_number(),
+    st.tuples(_flag_number(), _flag_number()).map("/".join),
+    st.tuples(_flag_number(), _flag_number()).map("x".join),
+    st.text(max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def five_frames(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rc_flags")
+    feat.write_features_csv(str(root / "features.csv"),
+                            sim.random_features(5, np.random.default_rng(1)))
+    return root
+
+
+class TestRcFlags:
+    @settings(max_examples=50, deadline=None)
+    @given(flag=st.sampled_from(["--bitrate", "--fps", "--resolution", "--seed", "--sim-noise",
+                                 "--sim-seed"]),
+           value=FLAG_VALUES)
+    def test_any_numeric_flag_value_runs_or_is_usage_error(self, five_frames, flag, value):
+        argv = ["rc", "--features", str(five_frames / "features.csv"), "--first-pass", "noise",
+                "--bitrate", "1e5", "--resolution", "64x64",
+                "--trace", str(five_frames / "t.csv"), f"{flag}={value}"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects a value its type cannot parse
+            code = exc.code
+        assert code in (0, 2)
 
 
 def _write_curves(tmp_path, scale):
@@ -600,6 +734,13 @@ class TestScipyImport:
         assert [code for code, _ in out.values()] == [0] * 5
 
 
+# An rc run on a small model; a case appends the flags it changes, and the
+# last value of a repeated flag wins.
+RC = ["rc", "--features", "{feats}", "--model", "{model}", "--bitrate", 1e5,
+      "--resolution", "64x64", "--trace", "{out}"]
+BUDGET = "frame budget target_bitrate * fps_den / fps_num must be finite and positive"
+
+
 class TestUsage:
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("subcommand", ["analyze", "train"])
@@ -630,11 +771,31 @@ class TestUsage:
          "--holdout must be a fraction in (0, 1), got 0.0"),
         (["predict", "--model", "{model}", "--features", "{feats}", "--qp", 99, "--out", "{out}"],
          "--qp must be in [0, 63], got 99"),
-        (["rc", "--features", "{feats}", "--model", "{model}", "--first-pass-qp", 99,
-          "--bitrate", 1e5, "--resolution", "64x64", "--trace", "{out}"],
-         "--first-pass-qp must be in [0, 63], got 99"),
+        ([*RC, "--seed", -1], "--seed must be at least 0, got -1"),
+        ([*RC, "--sim-seed", -1], "--sim-noise 0.0 --sim-seed -1: seed=-1 must be >= 0"),
+        ([*RC, "--sim-seed", -1, "--sim-noise", 0.1],
+         "--sim-noise 0.1 --sim-seed -1: seed=-1 must be >= 0"),
+        ([*RC, "--sim-noise", -1], "--sim-noise -1.0 --sim-seed 0: noise_sigma must be >= 0"),
+        ([*RC, "--bitrate", 0], f"--bitrate 0.0 --fps '30': {BUDGET}, got 0.0"),
+        ([*RC, "--first-pass", "noise", "--bitrate", 5e-324],
+         f"--bitrate 5e-324 --fps '30': {BUDGET}, got 0.0"),
+        ([*RC, "--bitrate", 1.7e308, "--fps", "1/1000"],
+         f"--bitrate 1.7e+308 --fps '1/1000': {BUDGET}, got inf"),
+        ([*RC, "--fps", "1" * 400], f"{BUDGET}, got inf"),
+        ([*RC, "--fps", "30/" + "1" * 400], f"{BUDGET}, got inf"),
+        ([*RC, "--fps", 0], "--bitrate 100000.0 --fps '0': frame rate must be positive"),
+        ([*RC, "--fps", "30/0"], "--bitrate 100000.0 --fps '30/0': frame rate must be positive"),
+        ([*RC, "--resolution", "32x32"],
+         "--resolution '32x32': frame size 32x32 below 64x64 minimum"),
+        ([*RC, "--resolution", "1921x1080"],
+         "--resolution '1921x1080': 4:2:0 requires even width and height"),
+        ([*RC, "--resolution", "1" * 400 + "x64"], "above 2^53 samples"),
     ], ids=["block-size", "raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
-            "trees", "max-depth", "seed", "holdout", "qp", "first-pass-qp"])
+            "trees", "max-depth", "seed", "holdout", "qp", "rc-seed", "rc-sim-seed",
+            "rc-sim-seed-noisy", "rc-sim-noise", "rc-bitrate-zero", "rc-budget-zero",
+            "rc-budget-infinite", "rc-fps-huge-numerator", "rc-fps-huge-denominator",
+            "rc-fps-zero", "rc-fps-zero-denominator", "rc-resolution-small",
+            "rc-resolution-odd", "rc-resolution-huge"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, y4m_file, training_csv, rng,
                                            capsys, argv, message):
         raw = tmp_path / "clip.yuv"
@@ -656,6 +817,18 @@ class TestUsage:
     def test_fixed_split_rules_are_not_flags(self, tmp_path, training_csv, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
             run("train", "--data", training_csv, flag, value, "--out", tmp_path / "m.ircf")
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c-low", 2), ("--deficit-gain", 0.3), ("--first-pass-qp", 30),
+        ("--sim-kappa", 2), ("--sim-gamma", 1), ("--sim-delta", 5),
+    ])
+    def test_fixed_rc_values_are_not_flags(self, tmp_path, capsys, flag, value):
+        feats, _ = _features_csv(tmp_path, n=3)
+        with pytest.raises(SystemExit) as err:
+            run("rc", "--features", feats, "--first-pass", "noise", "--bitrate", 1e5,
+                "--resolution", "64x64", flag, value, "--trace", tmp_path / "t.csv")
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

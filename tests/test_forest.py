@@ -220,6 +220,8 @@ class TestPredict:
 # the mean of five leaves rounded one ulp above the largest target
 @example(rows=[(1.0, 0, 0.0), (858993460.1620765, 0, 1.0), (1.0, 0, 0.0), (1.0, 0, 0.0)],
          probe_q=0, probe_e=1.0)
+# the mean of three equal targets rounded one ulp above them
+@example(rows=[(357913942.2076322, 0, 0.0)] * 3, probe_q=0, probe_e=0.0)
 def test_prediction_bounded_by_targets(rows, probe_q, probe_e):
     bits = [b for b, _, _ in rows]
     samples = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,15 +45,13 @@ class TestCHigh:
 
 class TestMapQp:
     def test_identity_case(self):
-        cfg = cfg_4k()
         rec = rc.FirstPassRecord(0, 32, 5000.0)
-        for c_low in (0.5, 1.0, 2.0):
-            q_bar, q_prime = rc.map_qp(rec, 5000.0, cfg_4k(c_low=c_low))
-            assert q_bar == 32.0
-            assert q_prime == 32
+        q_bar, q_prime = rc.map_qp(rec, 5000.0, cfg_4k())
+        assert q_bar == 32.0
+        assert q_prime == 32
 
     def test_halving_at_q36(self):
-        cfg = cfg_4k(c_low=1.0)
+        cfg = cfg_4k()
         rec = rc.FirstPassRecord(0, 36, 8000.0)
         q_bar, q_prime = rc.map_qp(rec, 4000.0, cfg)
         assert q_bar == pytest.approx(42.0, abs=1e-9)
@@ -77,7 +76,7 @@ class TestMapQp:
 
     def test_round_half_away_from_zero(self):
         # engineered q_bar = 32.5 -> 33 (not banker's 32)
-        cfg = cfg_4k(c_low=1.0)
+        cfg = cfg_4k()
         b_hat = 4096.0
         # q_bar = 32 - sqrt(32)*log2(b'/b_hat) = 32.5 => log2 ratio = -0.5/sqrt(32)
         b_prime = b_hat * 2.0 ** (-0.5 / math.sqrt(32))
@@ -136,14 +135,12 @@ class TestTargetBits:
         assert rc.compute_target_bits(0.0, cfg) == cfg.frame_budget
 
     def test_stated_law(self):
-        cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K,
-                          deficit_gain=0.5)
+        cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K)
         assert cfg.frame_budget == 10_000.0
         assert rc.compute_target_bits(4_000.0, cfg) == 8_000.0
 
     def test_floor_at_one(self):
-        cfg = rc.RcConfig(target_bitrate=3_000.0, fps_num=30, resolution=RES_4K,
-                          deficit_gain=1.0)
+        cfg = rc.RcConfig(target_bitrate=3_000.0, fps_num=30, resolution=RES_4K)
         assert cfg.frame_budget == 100.0
         assert rc.compute_target_bits(1e9, cfg) == 1.0
 
@@ -224,15 +221,14 @@ class TestSecondPass:
         assert summary["bitrate_deviation"] == pytest.approx(0.0, abs=1e-12)
 
     def test_double_spender_matches_independent_recurrence(self):
-        cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K,
-                          deficit_gain=1.0)
+        cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K)
         records = [rc.FirstPassRecord(i, 32, 10_000.0) for i in range(300)]
         decisions, summary = rc.run_second_pass(records, lambda d: 2.0 * d.b_prime_p, cfg)
         # closed-form rerun of the stated recurrence
         b = cfg.frame_budget
         deficit, total = 0.0, 0.0
         for d in decisions:
-            b_prime = max(1.0, b - deficit)
+            b_prime = max(1.0, b - cfg.deficit_gain * deficit)
             actual = 2.0 * b_prime
             assert d.b_prime_p == pytest.approx(b_prime, rel=1e-12)
             assert d.actual_bits == pytest.approx(actual, rel=1e-12)
@@ -355,19 +351,27 @@ class TestTraceCsv:
 
 
 class TestConfigValidation:
-    def test_bad_gain(self):
-        with pytest.raises(ValueError):
-            rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_4K, deficit_gain=0.0)
+    def test_second_pass_values_are_constants(self):
+        assert [f.name for f in dataclasses.fields(rc.RcConfig)] == [
+            "target_bitrate", "fps_num", "resolution", "fps_den"]
+        assert (rc.RcConfig.c_low, rc.RcConfig.first_pass_qp, rc.RcConfig.deficit_gain,
+                rc.RcConfig.q_start) == (1.0, 32, 0.5, 24)
 
     def test_bad_bitrate(self):
         for bitrate in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 rc.RcConfig(target_bitrate=bitrate, fps_num=30, resolution=RES_4K)
 
-    def test_non_finite_c_low(self):
-        for c_low in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="c_low"):
-                rc.RcConfig(target_bitrate=1e6, fps_num=30, resolution=RES_4K, c_low=c_low)
+    @pytest.mark.parametrize("bitrate, fps_num, fps_den, budget", [
+        (5e-324, 30, 1, "0.0"),
+        (1.7e308, 1, 1000, "inf"),
+        (1e6, 10**400, 1, "inf"),
+        (1e6, 30, 10**400, "inf"),
+    ], ids=["zero", "infinite", "huge-numerator", "huge-denominator"])
+    def test_frame_budget_must_be_finite_and_positive(self, bitrate, fps_num, fps_den, budget):
+        with pytest.raises(ValueError, match=f"frame budget .* finite and positive, got {budget}"):
+            rc.RcConfig(target_bitrate=bitrate, fps_num=fps_num, fps_den=fps_den,
+                        resolution=RES_4K)
 
     def test_frame_budget_rational_fps(self):
         cfg = rc.RcConfig(target_bitrate=30_000.0, fps_num=30000, fps_den=1001,

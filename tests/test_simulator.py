@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ class TestSimBits:
         params = sim.SimParams(kappa=1e-9)
         assert sim.sim_bits(F, 63, 100, params) == 1
 
+    def test_ceiling_at_bits_range(self):
+        assert sim.sim_bits(F, 0, PIXELS, sim.SimParams(kappa=1e300)) == 2**53
+        # log-noise of this spread overflows the factor to inf or 0
+        wild = sim.SimParams(noise_sigma=1e308)
+        with np.errstate(over="ignore"):
+            bits = {sim.sim_bits(F, q, PIXELS, wild) for q in range(64)}
+        assert bits == {1, 2**53}
+
     def test_q_validation(self):
         with pytest.raises(ValueError):
             sim.sim_bits(F, 64, PIXELS, sim.SimParams(kappa=1.0))
@@ -71,8 +81,8 @@ class TestSimPsnr:
             assert sim.sim_psnr(q, params) >= sim.sim_psnr(q + 1, params)
 
     def test_floor_clamp(self):
-        params = sim.SimParams(kappa=1.0, psnr_slope=2.0)
-        assert sim.sim_psnr(63, params) == 20.0
+        # 60 - 0.7 * 63 = 15.9 clamps to the floor
+        assert sim.sim_psnr(63, sim.SimParams()) == 20.0
 
 
 class TestGenerateDataset:
@@ -95,3 +105,13 @@ class TestGenerateDataset:
             sim.SimParams(kappa=0.0)
         with pytest.raises(ValueError):
             sim.SimParams(kappa=1.0, noise_sigma=-0.1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+            sim.SimParams(seed=-1)
+
+    def test_psnr_law_is_constant(self):
+        assert [f.name for f in dataclasses.fields(sim.SimParams)] == [
+            "kappa", "gamma", "delta", "noise_sigma", "seed"]
+        assert (sim.SimParams.psnr_intercept, sim.SimParams.psnr_slope) == (60.0, 0.7)
+        assert sim.SimParams() == sim.SimParams(kappa=1.0, gamma=0.8, delta=6.0)

@@ -137,6 +137,12 @@ class TestGeometry:
         with pytest.raises(vio.VideoFormatError):
             vio.VideoGeometry(65, 64)
 
+    def test_sample_count_a_float_holds(self):
+        vio.VideoGeometry(2**26, 2**27)
+        for width in (2**26 + 2, 10**400):
+            with pytest.raises(vio.VideoFormatError, match="above 2\\^53 samples"):
+                vio.VideoGeometry(width, 2**27)
+
     def test_bad_bit_depth(self):
         with pytest.raises(vio.VideoFormatError):
             vio.VideoGeometry(64, 64, bit_depth=12)
