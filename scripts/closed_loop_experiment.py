@@ -37,8 +37,8 @@ def main():
     clean = sim.SimParams(kappa=1.0)
 
     print(f"training forest on {args.train_samples} simulated samples ...")
-    data = sim.generate_dataset(args.train_samples, noisy, seed=args.seed, pixels=pixels)
-    model = forest.train(data, forest.ForestHyperparams(
+    X, y = sim.generate_dataset(args.train_samples, noisy, seed=args.seed, pixels=pixels)
+    model = forest.train_arrays(X, y, forest.ForestHyperparams(
         n_estimators=args.trees, max_depth=args.max_depth, seed=args.seed))
 
     feats = sim.random_features(args.frames, np.random.default_rng(args.seed + 1))

@@ -23,9 +23,9 @@ def main():
     args = ap.parse_args()
 
     params = sim.SimParams(kappa=args.kappa, noise_sigma=args.noise_sigma, seed=args.seed)
-    data = sim.generate_dataset(args.samples, params, seed=args.seed, pixels=args.pixels)
-    forest.write_training_csv(args.out, data)
-    print(f"wrote {len(data)} rows to {args.out}")
+    X, y = sim.generate_dataset(args.samples, params, seed=args.seed, pixels=args.pixels)
+    forest.write_training_csv(args.out, X, y)
+    print(f"wrote {len(y)} rows to {args.out}")
 
 
 if __name__ == "__main__":

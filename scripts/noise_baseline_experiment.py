@@ -41,8 +41,8 @@ def main():
     params = sim.SimParams(kappa=1.0, noise_sigma=0.1)
 
     print(f"training forest on {args.train_samples} simulated samples ...")
-    data = sim.generate_dataset(args.train_samples, params, seed=0, pixels=pixels)
-    model = forest.train(data, forest.ForestHyperparams(
+    X, y = sim.generate_dataset(args.train_samples, params, seed=0, pixels=pixels)
+    model = forest.train_arrays(X, y, forest.ForestHyperparams(
         n_estimators=args.trees, max_depth=args.max_depth))
 
     anchor_qs = [int(v) for v in args.anchor_qps.split(",")]

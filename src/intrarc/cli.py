@@ -151,11 +151,13 @@ def cmd_train(args) -> int:
     hp = forest.ForestHyperparams(n_estimators=args.trees, max_depth=args.max_depth,
                                   seed=args.seed)
     holdout_stats = None
+    n_train = len(y)
     if args.holdout is not None:
         rng = np.random.default_rng(args.seed)
         perm = rng.permutation(len(y))
         n_test = max(1, int(round(args.holdout * len(y))))
         test_idx, train_idx = perm[:n_test], perm[n_test:]
+        n_train = int(train_idx.size)
         ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
         if ss_tot == 0.0:
             raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
@@ -166,7 +168,7 @@ def cmd_train(args) -> int:
         ss_res = float(np.sum(resid**2))
         holdout_stats = {
             "fraction": args.holdout,
-            "n_train": int(train_idx.size),
+            "n_train": n_train,
             "n_test": int(test_idx.size),
             "r2": 1.0 - ss_res / ss_tot,
             "mae": float(np.mean(np.abs(resid))),
@@ -182,11 +184,11 @@ def cmd_train(args) -> int:
                 "min_samples_split": hp.min_samples_split,
                 "max_features": hp.max_features, "threads": args.threads},
         seeds={"seed": hp.seed},
-        extra={"model_bytes": size, "n_samples": model.n_samples,
+        extra={"model_bytes": size, "n_samples": n_train,
                "holdout": holdout_stats,
                "importance": dict(zip(forest.INPUT_NAMES, model.importance.tolist()))},
     )
-    msg = f"trained {hp.n_estimators} trees on {model.n_samples} samples -> {args.out} ({size} bytes)"
+    msg = f"trained {hp.n_estimators} trees on {n_train} samples -> {args.out} ({size} bytes)"
     if holdout_stats:
         msg += f"; holdout R2={holdout_stats['r2']:.4f} MAE={holdout_stats['mae']:.1f}"
     print(msg)

@@ -2,7 +2,7 @@
 
 The forest is grown from scratch so that training is bit-reproducible:
 every tree gets its own PRNG derived from (seed, tree_index), which
-draws only its bootstrap resample of |samples| rows with replacement.
+draws only its bootstrap resample of n rows with replacement.
 CART splits search every input at every node, maximize variance
 reduction and put thresholds at midpoints between consecutive distinct
 sorted values. Split-score ties break toward the lowest feature index,
@@ -12,10 +12,11 @@ samples.
 Trees are grown breadth-first, so their nodes sit in level order and
 the k-th split node's children are at slots 1 + 2k and 2 + 2k. Models
 serialize to a compact little-endian binary: magic "IRCF", a format
-version, the tree count, depth limit and seed, the training sample
-count, the training feature range, per tree the node count, the
-feature of every node and the value of every node (the threshold at a
-split node, the mean at a leaf), and a trailing CRC-32.
+version, the tree count, the training feature range, per tree the node
+count, the feature of every node and the value of every node (the
+threshold at a split node, the mean at a leaf), and a trailing CRC-32.
+The file holds only what prediction reads; how the forest was trained
+goes to the `train` manifest.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -37,8 +38,8 @@ TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
 INPUT_NAMES = tuple(TRAINING_COLUMNS)[1:1 + N_FEATURES]
 
 _MAGIC = b"IRCF"
-_VERSION = 4
-_HEADER = struct.Struct("<4sIIIqQ")
+_VERSION = 5
+_HEADER = struct.Struct("<4sII")   # magic, version, tree count
 
 
 class ModelFormatError(Exception):
@@ -63,19 +64,6 @@ class ForestHyperparams:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    features: FrameFeatures
-    q: int
-    bits: float
-
-    def __post_init__(self):
-        if not 0 <= self.q <= tables.QP_MAX:
-            raise ValueError(f"q={self.q} outside [0, {tables.QP_MAX}]")
-        if not np.isfinite(self.bits) or self.bits <= 0:
-            raise ValueError(f"bits={self.bits} must be finite and positive")
-
-
 @dataclass
 class Tree:
     """Flattened binary tree in level order; feature < 0 marks a leaf.
@@ -95,8 +83,6 @@ class Tree:
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    hyperparams: ForestHyperparams
-    n_samples: int
     feature_min: np.ndarray
     feature_max: np.ndarray
     # Per-input share of the training SSE reduction (all zero without a
@@ -176,11 +162,6 @@ def feature_matrix(features: Sequence[FrameFeatures], q) -> np.ndarray:
     return np.column_stack([np.reshape([f.as_array() for f in features], (-1, 6)), qs])
 
 
-def samples_to_arrays(samples: Sequence[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    X = feature_matrix([s.features for s in samples], [s.q for s in samples])
-    return X, np.array([float(s.bits) for s in samples])
-
-
 def train_arrays(X: np.ndarray, y: np.ndarray,
                  hp: ForestHyperparams = ForestHyperparams(),
                  threads: int = 1) -> ForestModel:
@@ -215,19 +196,10 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
     total = gains.sum()
     return ForestModel(
         trees=[tree for tree, _ in grown],
-        hyperparams=hp,
-        n_samples=n,
         feature_min=X.min(axis=0),
         feature_max=X.max(axis=0),
         importance=gains / total if total > 0.0 else gains,
     )
-
-
-def train(samples: Sequence[TrainingSample],
-          hp: ForestHyperparams = ForestHyperparams(),
-          threads: int = 1) -> ForestModel:
-    X, y = samples_to_arrays(samples)
-    return train_arrays(X, y, hp, threads=threads)
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -239,8 +211,8 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     total = np.zeros(X.shape[0])
     for t, tree in enumerate(model.trees):
         # The k-th split node's left child is at 1 + 2k. Children are later
-        # slots (load checks it), so every row reaches a leaf whatever
-        # depth the header records.
+        # slots (load checks it), so every row reaches a leaf within
+        # n_nodes steps.
         left = 2 * np.cumsum(tree.feature >= 0) - 1
         idx = np.zeros(X.shape[0], dtype=np.intp)
         while True:
@@ -262,9 +234,7 @@ def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:
 
 def save(model: ForestModel, path: str) -> int:
     """Serialize a model; returns the file size in bytes."""
-    hp = model.hyperparams
-    chunks = [_HEADER.pack(_MAGIC, _VERSION, hp.n_estimators, hp.max_depth, hp.seed,
-                           model.n_samples)]
+    chunks = [_HEADER.pack(_MAGIC, _VERSION, len(model.trees))]
     chunks.append(model.feature_min.astype("<f8").tobytes())
     chunks.append(model.feature_max.astype("<f8").tobytes())
     for tree in model.trees:
@@ -323,25 +293,27 @@ def load(path: str) -> ForestModel:
     if zlib.crc32(body) != crc:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
     rd = _Reader(body)
-    magic, version, n_est, max_depth, seed, n_samples = _HEADER.unpack(rd.take(_HEADER.size))
+    magic, version, n_trees = _HEADER.unpack(rd.take(_HEADER.size))
     if version != _VERSION:
         raise ModelFormatError(f"{path}: format version {version}, expected {_VERSION}")
+    if n_trees < 1:
+        raise ModelFormatError(f"{path}: model has no trees")
     try:
-        hp = ForestHyperparams(n_estimators=n_est, max_depth=max_depth, seed=seed)
         fmin = rd.array("<f8", N_FEATURES)
         fmax = rd.array("<f8", N_FEATURES)
-        trees = [_read_tree(rd) for _ in range(n_est)]
-    except (ValueError, ModelFormatError) as exc:
+        trees = [_read_tree(rd) for _ in range(n_trees)]
+    except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     if rd.pos != len(body):
         raise ModelFormatError(f"{path}: {len(body) - rd.pos} trailing bytes after the last tree")
-    return ForestModel(trees=trees, hyperparams=hp, n_samples=n_samples,
-                       feature_min=fmin, feature_max=fmax)
+    return ForestModel(trees=trees, feature_min=fmin, feature_max=fmax)
 
 
-def write_training_csv(path: str, samples: Iterable[TrainingSample]) -> None:
-    tables.write(path, TRAINING_COLUMNS,
-                 ([s.features.frame_index, *s.features.as_array(), s.q, s.bits] for s in samples))
+def write_training_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
+    """Write (X, y) as a training table whose frame indices number the rows from 0."""
+    tables.write(path, TRAINING_COLUMNS, (
+        [i, *x[:N_FEATURES - 1], int(x[-1]), bits]
+        for i, (x, bits) in enumerate(zip(X.tolist(), y.tolist()))))
 
 
 def read_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

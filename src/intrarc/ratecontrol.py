@@ -70,9 +70,9 @@ class RcConfig:
             budget = self.frame_budget
         except OverflowError:
             budget = math.inf
-        if not (math.isfinite(budget) and budget > 0):
+        if not tables.BITS.lo <= budget <= tables.BITS.hi:
             raise ValueError("frame budget target_bitrate * fps_den / fps_num must be "
-                             f"finite and positive, got {budget}")
+                             f"in [1, 2^53] bits, got {budget}")
 
     @property
     def frame_budget(self) -> float:

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from intrarc.features import FrameFeatures
-from intrarc.forest import TrainingSample
+from intrarc.forest import feature_matrix
 from intrarc.tables import BITS, QP_MAX
 
 PSNR_FLOOR = 20.0
@@ -67,7 +67,9 @@ def sim_bits(features: FrameFeatures, q: int, pixels: int, params: SimParams) ->
         rng = np.random.default_rng(
             np.random.SeedSequence(params.seed, spawn_key=(features.frame_index, q))
         )
-        noise = float(np.exp(rng.normal(0.0, params.noise_sigma)))
+        # A wide log-std can overflow the factor to inf; the clamp makes that 2^53 bits.
+        with np.errstate(over="ignore"):
+            noise = float(np.exp(rng.normal(0.0, params.noise_sigma)))
     raw = expected_bits(features, q, pixels, params) * noise
     return int(min(BITS.hi, max(1.0, np.floor(raw + 0.5))))
 
@@ -92,17 +94,17 @@ def random_features(n: int, rng: np.random.Generator, start_index: int = 0) -> l
 
 def generate_dataset(n: int, params: SimParams, seed: int = 0,
                      pixels: int = 3840 * 2160,
-                     q_range: tuple[int, int] = (18, 48)) -> list[TrainingSample]:
-    """Synthetic training table: uniform features, uniform QP, simulated bits."""
+                     q_range: tuple[int, int] = (18, 48)) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic training table as (X, y): uniform features, uniform QP,
+    simulated bits; row i is frame i."""
     if n < 1:
         raise ValueError("dataset size must be >= 1")
     rng = np.random.default_rng(seed)
     feats = random_features(n, rng)
     qs = rng.integers(q_range[0], q_range[1] + 1, size=n)
-    return [
-        TrainingSample(features=f, q=int(q), bits=sim_bits(f, int(q), pixels, params))
-        for f, q in zip(feats, qs)
-    ]
+    y = np.array([sim_bits(f, int(q), pixels, params) for f, q in zip(feats, qs)],
+                 dtype=np.float64)
+    return feature_matrix(feats, qs), y
 
 
 def make_encoder(features: list[FrameFeatures], pixels: int, params: SimParams):

@@ -37,8 +37,7 @@ def report(criterion, text):
 
 @pytest.fixture(scope="session")
 def dataset_10k():
-    data = sim.generate_dataset(10_000, NOISY, seed=7, pixels=PIXELS)
-    X, y = forest.samples_to_arrays(data)
+    X, y = sim.generate_dataset(10_000, NOISY, seed=7, pixels=PIXELS)
     perm = np.random.default_rng(0).permutation(10_000)
     test_idx, train_idx = perm[:2_000], perm[2_000:]
     return X, y, train_idx, test_idx
@@ -96,9 +95,8 @@ def test_criterion_2_pinned_constants(tmp_path):
             hp.min_samples_split, hp.seed) == (100, 12, 1, 2, 0)
 
     # manifest inspection through the CLI with stock flags
-    data = sim.generate_dataset(400, NOISY, seed=5)
     train_csv = tmp_path / "train.csv"
-    forest.write_training_csv(str(train_csv), data)
+    forest.write_training_csv(str(train_csv), *sim.generate_dataset(400, NOISY, seed=5))
     model_path = tmp_path / "model.ircf"
     assert cli.main(["train", "--data", str(train_csv), "--out", str(model_path)]) == 0
     manifest = json.loads((tmp_path / "model.ircf.manifest.json").read_text())
@@ -283,9 +281,8 @@ def test_criterion_9_determinism(tmp_path, rng):
     assert cli.main(["analyze", "--input", str(clip), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
-    data = sim.generate_dataset(500, NOISY, seed=3)
     train_csv = tmp_path / "train.csv"
-    forest.write_training_csv(str(train_csv), data)
+    forest.write_training_csv(str(train_csv), *sim.generate_dataset(500, NOISY, seed=3))
     ma, mb = tmp_path / "ma.ircf", tmp_path / "mb.ircf"
     for out in (ma, mb):
         assert cli.main(["train", "--data", str(train_csv), "--trees", "20",

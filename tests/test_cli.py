@@ -30,9 +30,9 @@ def y4m_file(tmp_path, rng):
 
 @pytest.fixture
 def training_csv(tmp_path):
-    data = sim.generate_dataset(600, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
+    X, y = sim.generate_dataset(600, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
     path = tmp_path / "train.csv"
-    forest.write_training_csv(str(path), data)
+    forest.write_training_csv(str(path), X, y)
     return path
 
 
@@ -100,7 +100,7 @@ class TestTrain:
         assert run("train", "--data", training_csv, "--trees", 10, "--max-depth", 6,
                    "--out", out, "--holdout", 0.2) == 0
         model = forest.load(str(out))
-        assert model.hyperparams.n_estimators == 10
+        assert len(model.trees) == 10
         manifest = json.loads((tmp_path / "model.ircf.manifest.json").read_text())
         assert manifest["config"]["max_depth"] == 6
         assert manifest["seeds"]["seed"] == 0
@@ -118,6 +118,19 @@ class TestTrain:
         assert cfgd["min_samples_leaf"] == 1
         assert cfgd["min_samples_split"] == 2
         assert cfgd["max_features"] == 7
+
+    @pytest.mark.parametrize("holdout", [None, 0.2])
+    def test_sample_count_is_rows_trained_on(self, tmp_path, training_csv, capsys, holdout):
+        out = tmp_path / "model.ircf"
+        split = [] if holdout is None else ["--holdout", holdout]
+        assert run("train", "--data", training_csv, "--trees", 2, "--max-depth", 3, *split,
+                   "--out", out) == 0
+        manifest = json.loads((tmp_path / "model.ircf.manifest.json").read_text())
+        rows = len(training_csv.read_text().splitlines()) - 1
+        want = rows if holdout is None else manifest["holdout"]["n_train"]
+        assert want == (600 if holdout is None else 480)
+        assert manifest["n_samples"] == want
+        assert f"trained 2 trees on {want} samples" in capsys.readouterr().out
 
     def test_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -145,9 +158,9 @@ class TestTrain:
         assert f"line 602 has {field}, expected" in capsys.readouterr().err
 
     def test_constant_holdout_bits_is_data_error(self, tmp_path, capsys):
-        data = sim.generate_dataset(10, sim.SimParams(kappa=1.0), seed=3)
         path = tmp_path / "ten.csv"
-        forest.write_training_csv(str(path), data)
+        forest.write_training_csv(str(path), *sim.generate_dataset(10, sim.SimParams(kappa=1.0),
+                                                                   seed=3))
         assert run("train", "--data", path, "--trees", 2, "--holdout", 0.1,
                    "--out", tmp_path / "m.ircf") == 3
         assert "holdout R2 is undefined: the bits of the 1 held-out rows have zero variance" in (
@@ -177,7 +190,8 @@ class TestPredict:
         assert len(lines) == 5
 
     @pytest.mark.parametrize("offset, value, message", [
-        (4, 3, "format version 3, expected 4"),  # a v3 file
+        (4, 4, "format version 4, expected 5"),  # a v4 file
+        (8, 0, "model has no trees"),  # tree count 2 -> 0
         (FIRST_TREE + 4, 9, "feature outside [-1, 6]"),  # first node's feature
     ])
     def test_bad_model_file_is_data_error(self, tmp_path, training_csv, capsys,
@@ -464,9 +478,9 @@ def pinned_rc_run(tmp_path, first_pass):
     """40 frames through `rc` with a 3-tree model or a noise first pass:
     the trace's q_prime, actual bits and deficit (to 9 significant digits)
     and the report (floats to 9 significant digits)."""
-    data = sim.generate_dataset(400, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=5)
+    X, y = sim.generate_dataset(400, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=5)
     model = tmp_path / "m.ircf"
-    forest.save(forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=8)),
+    forest.save(forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=3, max_depth=8)),
                 str(model))
     feats, _ = _features_csv(tmp_path, n=40, seed=11)
     trace, report = tmp_path / "t.csv", tmp_path / "r.json"
@@ -650,8 +664,8 @@ def table_bytes(draw, header):
 def cli_inputs(tmp_path_factory):
     """A model, a features CSV and an RD curve for the commands of CSV_INPUTS."""
     root = tmp_path_factory.mktemp("inputs")
-    data = sim.generate_dataset(200, sim.SimParams(kappa=1.0), seed=1, pixels=64 * 64)
-    model = forest.train(data, forest.ForestHyperparams(n_estimators=2, max_depth=3))
+    X, y = sim.generate_dataset(200, sim.SimParams(kappa=1.0), seed=1, pixels=64 * 64)
+    model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=2, max_depth=3))
     forest.save(model, str(root / "m.ircf"))
     feat.write_features_csv(str(root / "features.csv"),
                             sim.random_features(3, np.random.default_rng(0)))
@@ -738,7 +752,7 @@ class TestScipyImport:
 # last value of a repeated flag wins.
 RC = ["rc", "--features", "{feats}", "--model", "{model}", "--bitrate", 1e5,
       "--resolution", "64x64", "--trace", "{out}"]
-BUDGET = "frame budget target_bitrate * fps_den / fps_num must be finite and positive"
+BUDGET = "frame budget target_bitrate * fps_den / fps_num must be in [1, 2^53] bits"
 
 
 class TestUsage:
@@ -781,6 +795,10 @@ class TestUsage:
          f"--bitrate 5e-324 --fps '30': {BUDGET}, got 0.0"),
         ([*RC, "--bitrate", 1.7e308, "--fps", "1/1000"],
          f"--bitrate 1.7e+308 --fps '1/1000': {BUDGET}, got inf"),
+        ([*RC, "--bitrate", 1e308, "--fps", 1, "--resolution", "128x128"],
+         f"--bitrate 1e+308 --fps '1': {BUDGET}, got 1e+308"),
+        ([*RC, "--first-pass", "noise", "--bitrate", 1e-320],
+         f"--bitrate 1e-320 --fps '30': {BUDGET}, got 3.3e-322"),
         ([*RC, "--fps", "1" * 400], f"{BUDGET}, got inf"),
         ([*RC, "--fps", "30/" + "1" * 400], f"{BUDGET}, got inf"),
         ([*RC, "--fps", 0], "--bitrate 100000.0 --fps '0': frame rate must be positive"),
@@ -793,7 +811,8 @@ class TestUsage:
     ], ids=["block-size", "raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
             "trees", "max-depth", "seed", "holdout", "qp", "rc-seed", "rc-sim-seed",
             "rc-sim-seed-noisy", "rc-sim-noise", "rc-bitrate-zero", "rc-budget-zero",
-            "rc-budget-infinite", "rc-fps-huge-numerator", "rc-fps-huge-denominator",
+            "rc-budget-infinite", "rc-budget-above-2^53", "rc-budget-below-one-bit",
+            "rc-fps-huge-numerator", "rc-fps-huge-denominator",
             "rc-fps-zero", "rc-fps-zero-denominator", "rc-resolution-small",
             "rc-resolution-odd", "rc-resolution-huge"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, y4m_file, training_csv, rng,

@@ -20,9 +20,13 @@ def children(tree):
             for k, slot in enumerate(np.flatnonzero(tree.feature >= 0))}
 
 
-def q_split_samples():
-    return ([forest.TrainingSample(CONST_FEATURES, 20, 8000.0)] * 5
-            + [forest.TrainingSample(CONST_FEATURES, 40, 1000.0)] * 5)
+def const_data(qs, bits):
+    """(X, y) of rows that share CONST_FEATURES and differ only in QP and bits."""
+    return forest.feature_matrix([CONST_FEATURES] * len(qs), qs), np.array(bits, dtype=float)
+
+
+def q_split_data():
+    return const_data([20] * 5 + [40] * 5, [8000.0] * 5 + [1000.0] * 5)
 
 
 def brute_force_best_split(X, y):
@@ -69,8 +73,8 @@ PINNED_TREES = [
 
 
 def test_small_forest_trees_are_pinned():
-    data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=7)
-    model = forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=4))
+    X, y = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=7)
+    model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=3, max_depth=4))
     assert len(model.trees) == len(PINNED_TREES)
     for tree, (feature, value) in zip(model.trees, PINNED_TREES):
         assert tree.feature.tolist() == feature
@@ -85,18 +89,17 @@ class TestTraining:
         assert (hp.min_samples_leaf, hp.min_samples_split, hp.max_features) == (1, 2, 7)
 
     def test_constant_targets_single_leaf(self):
-        samples = [forest.TrainingSample(CONST_FEATURES, q, 1000.0)
-                   for q in (10, 20, 30, 40, 50, 15, 25, 35, 45, 55)]
-        model = forest.train(samples, forest.ForestHyperparams(n_estimators=20))
+        X, y = const_data([10, 20, 30, 40, 50, 15, 25, 35, 45, 55], [1000.0] * 10)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=20))
         for tree in model.trees:
             assert tree.n_nodes == 1
             assert tree.value[0] == 1000.0
         assert forest.predict(model, CONST_FEATURES, 30) == 1000.0
 
     def test_q_split_example(self):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(max_depth=1))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(max_depth=1))
         # brute force over the 7 features confirms q is the unique useful split
-        X, y = forest.samples_to_arrays(q_split_samples())
+        X, y = q_split_data()
         gain, f, thr = brute_force_best_split(X, y)
         assert f == 6 and thr == 30.0
         for tree in model.trees:
@@ -109,7 +112,7 @@ class TestTraining:
     def test_training_is_deterministic(self, tmp_path):
         paths = []
         for name in ("a.ircf", "b.ircf"):
-            m = forest.train(q_split_samples(), forest.ForestHyperparams(max_depth=4))
+            m = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(max_depth=4))
             p = tmp_path / name
             forest.save(m, str(p))
             paths.append(p)
@@ -117,12 +120,12 @@ class TestTraining:
         assert digests[0] == digests[1]
 
     def test_threaded_training_matches_serial(self, tmp_path):
-        data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=5)
+        X, y = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=5)
         hp = forest.ForestHyperparams(n_estimators=8, max_depth=4)
         a = tmp_path / "serial.ircf"
         b = tmp_path / "threaded.ircf"
-        forest.save(forest.train(data, hp, threads=1), str(a))
-        forest.save(forest.train(data, hp, threads=4), str(b))
+        forest.save(forest.train_arrays(X, y, hp, threads=1), str(a))
+        forest.save(forest.train_arrays(X, y, hp, threads=4), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_non_finite_rejected(self):
@@ -141,9 +144,10 @@ class TestTraining:
             forest.train_arrays(np.ones((4, 7)), np.array([1.0, 2.0, 0.0, 3.0]))
 
     def test_max_depth_respected(self):
-        data = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
+        X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
         for depth in (1, 3):
-            model = forest.train(data, forest.ForestHyperparams(n_estimators=4, max_depth=depth))
+            model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=4,
+                                                                       max_depth=depth))
             for tree in model.trees:
                 kids = children(tree)
 
@@ -155,8 +159,7 @@ class TestTraining:
                 walk(0, 0)
 
     def test_slots_in_level_order(self):
-        data = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
-        X, y = forest.samples_to_arrays(data)
+        X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
         hp = forest.ForestHyperparams(max_depth=6)
         tree, _ = forest._grow_tree(X, y, hp.max_depth)
         kids = children(tree)
@@ -180,28 +183,26 @@ class TestTraining:
 
 class TestPredict:
     def test_single_leaf_forest(self):
-        samples = [forest.TrainingSample(CONST_FEATURES, 20, 1000.0)] * 5
-        model = forest.train(samples, forest.ForestHyperparams(n_estimators=3))
+        model = forest.train_arrays(*const_data([20] * 5, [1000.0] * 5),
+                                    forest.ForestHyperparams(n_estimators=3))
         assert forest.predict(model, CONST_FEATURES, 63) == 1000.0
 
     def test_mean_of_trees(self):
         leaf = lambda v: forest.Tree(feature=np.array([-1], np.int8), value=np.array([v]))
-        model = forest.ForestModel(
-            trees=[leaf(800.0), leaf(1200.0)], hyperparams=forest.ForestHyperparams(n_estimators=2),
-            n_samples=2, feature_min=np.zeros(7), feature_max=np.ones(7),
-        )
+        model = forest.ForestModel(trees=[leaf(800.0), leaf(1200.0)],
+                                   feature_min=np.zeros(7), feature_max=np.ones(7))
         assert forest.predict(model, CONST_FEATURES, 30) == 1000.0
 
     def test_q_out_of_range(self):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=2))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2))
         with pytest.raises(ValueError):
             forest.predict(model, CONST_FEATURES, 64)
         with pytest.raises(ValueError):
             forest.predict(model, CONST_FEATURES, -1)
 
     def test_monotone_sanity_on_sim_data(self, rng):
-        data = sim.generate_dataset(3000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=11)
-        model = forest.train(data, forest.ForestHyperparams(n_estimators=30, max_depth=8))
+        X, y = sim.generate_dataset(3000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=11)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=30, max_depth=8))
         feats = sim.random_features(100, rng)
         lo = np.mean([forest.predict(model, f, 24) for f in feats])
         hi = np.mean([forest.predict(model, f, 44) for f in feats])
@@ -224,42 +225,42 @@ class TestPredict:
 @example(rows=[(357913942.2076322, 0, 0.0)] * 3, probe_q=0, probe_e=0.0)
 def test_prediction_bounded_by_targets(rows, probe_q, probe_e):
     bits = [b for b, _, _ in rows]
-    samples = [
-        forest.TrainingSample(FrameFeatures(e, 0.5, 0.2, 0.5, 0.2, 0.5, i), q, b)
-        for i, (b, q, e) in enumerate(rows)
-    ]
-    model = forest.train(samples, forest.ForestHyperparams(n_estimators=5, max_depth=6))
+    X = forest.feature_matrix([FrameFeatures(e, 0.5, 0.2, 0.5, 0.2, 0.5, i)
+                               for i, (_, _, e) in enumerate(rows)], [q for _, q, _ in rows])
+    model = forest.train_arrays(X, np.array(bits),
+                                forest.ForestHyperparams(n_estimators=5, max_depth=6))
     pred = forest.predict(model, FrameFeatures(probe_e, 0.5, 0.2, 0.5, 0.2, 0.5, 0), probe_q)
     assert min(bits) - 1e-9 <= pred <= max(bits) + 1e-9
 
 
 class TestImportance:
     def test_only_q_splits(self):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(max_depth=1))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(max_depth=1))
         assert model.importance[6] == 1.0
         assert np.all(model.importance[:6] == 0.0)
 
     def test_single_leaf_has_no_splits(self):
-        samples = [forest.TrainingSample(CONST_FEATURES, 20, 1000.0)] * 5
-        model = forest.train(samples, forest.ForestHyperparams(n_estimators=4))
+        model = forest.train_arrays(*const_data([20] * 5, [1000.0] * 5),
+                                    forest.ForestHyperparams(n_estimators=4))
         assert np.all(model.importance == 0.0)
 
     def test_sim_law_concentrates_on_q_and_e_y(self):
-        data = sim.generate_dataset(4000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
-        model = forest.train(data, forest.ForestHyperparams(n_estimators=20, max_depth=8))
+        X, y = sim.generate_dataset(4000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=20, max_depth=8))
         assert model.importance.sum() == pytest.approx(1.0)
         assert model.importance[0] + model.importance[6] >= 0.95  # e_y and q
 
 
 class TestSerialization:
     def test_round_trip_predictions_exact(self, tmp_path, rng):
-        data = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=9)
-        model = forest.train(data, forest.ForestHyperparams(n_estimators=10, max_depth=6))
+        X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=9)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=10, max_depth=6))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         loaded = forest.load(str(path))
-        assert loaded.hyperparams == model.hyperparams
-        assert loaded.n_samples == model.n_samples
+        # The file holds what prediction reads; importance exists only after training.
+        assert [f.name for f in dataclasses.fields(forest.ForestModel)] == [
+            "trees", "feature_min", "feature_max", "importance"]
         for name in ("feature_min", "feature_max"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         assert len(loaded.trees) == len(model.trees)
@@ -276,7 +277,7 @@ class TestSerialization:
         )
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=3))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=3))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         blob = bytearray(path.read_bytes())
@@ -292,7 +293,7 @@ class TestSerialization:
             forest.load(str(path))
 
     def test_truncated_file(self, tmp_path):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=3))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=3))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         path.write_bytes(path.read_bytes()[:20])
@@ -300,20 +301,31 @@ class TestSerialization:
             forest.load(str(path))
 
     def test_version_mismatch(self, tmp_path):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=2))
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         body = bytearray(path.read_bytes()[:-4])
-        for version in (3, 99):  # the previous format, and one from the future
+        for version in (4, 99):  # the previous format, and one from the future
             body[4:8] = version.to_bytes(4, "little")
             reseal(path, body)
             with pytest.raises(forest.ModelFormatError,
-                               match=f"format version {version}, expected 4"):
+                               match=f"format version {version}, expected 5"):
                 forest.load(str(path))
 
+    def test_zero_tree_count_rejected(self, tmp_path):
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        body = bytearray(path.read_bytes()[:-4])
+        body[8:12] = (0).to_bytes(4, "little")
+        reseal(path, body)
+        with pytest.raises(forest.ModelFormatError, match="model has no trees") as err:
+            forest.load(str(path))
+        assert str(path) in str(err.value)
+
     def test_size_matches_documented_layout(self, tmp_path):
-        data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=6)
-        model = forest.train(data, forest.ForestHyperparams(n_estimators=4, max_depth=5))
+        X, y = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=6)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=4, max_depth=5))
         path = tmp_path / "m.ircf"
         size = forest.save(model, str(path))
         # per tree: u32 n_nodes, then an i1 feature and an f8 value per node
@@ -327,7 +339,7 @@ class TestSerialization:
         ("trailing", "trailing bytes"),
     ])
     def test_malformed_tree_rejected(self, tmp_path, case, match):
-        model = forest.train(q_split_samples(), forest.ForestHyperparams(n_estimators=2,
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2,
                                                                          max_depth=1))
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
@@ -335,31 +347,20 @@ class TestSerialization:
         with pytest.raises(forest.ModelFormatError, match=match):
             forest.load(str(path))
 
-    def test_header_depth_does_not_cut_traversal(self, tmp_path, rng):
-        data = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=1)
-        model = forest.train(data, forest.ForestHyperparams(n_estimators=3, max_depth=6))
-        path = tmp_path / "m.ircf"
-        forest.save(model, str(path))
-        body = bytearray(path.read_bytes()[:-4])
-        body[12:16] = (1).to_bytes(4, "little")  # header max_depth 6 -> 1
-        reseal(path, body)
-        X = np.column_stack([rng.uniform(0, 1, (50, 6)), rng.integers(0, 64, 50)])
-        np.testing.assert_array_equal(forest.predict_batch(forest.load(str(path)), X),
-                                      forest.predict_batch(model, X))
-
     def test_deeper_model_is_larger(self, tmp_path):
-        data = sim.generate_dataset(2000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=4)
+        X, y = sim.generate_dataset(2000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=4)
         sizes = {}
         for depth in (4, 12):
-            model = forest.train(data, forest.ForestHyperparams(n_estimators=10, max_depth=depth))
+            model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=10,
+                                                                       max_depth=depth))
             sizes[depth] = forest.save(model, str(tmp_path / f"d{depth}.ircf"))
         assert sizes[4] < sizes[12]
 
 
 @pytest.fixture(scope="module")
 def small_model_body(tmp_path_factory):
-    data = sim.generate_dataset(200, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=8)
-    model = forest.train(data, forest.ForestHyperparams(n_estimators=2, max_depth=3))
+    X, y = sim.generate_dataset(200, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=8)
+    model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=2, max_depth=3))
     path = tmp_path_factory.mktemp("model") / "m.ircf"
     forest.save(model, str(path))
     return path, path.read_bytes()[:-4]
@@ -447,11 +448,10 @@ def test_structurally_mutated_model_is_rejected_or_usable(small_model_body, data
 
 class TestTrainingCsv:
     def test_round_trip(self, tmp_path):
-        data = sim.generate_dataset(50, sim.SimParams(kappa=1.0), seed=1)
+        Xd, yd = sim.generate_dataset(50, sim.SimParams(kappa=1.0), seed=1)
         path = tmp_path / "t.csv"
-        forest.write_training_csv(str(path), data)
+        forest.write_training_csv(str(path), Xd, yd)
         X, y = forest.read_training_csv(str(path))
-        Xd, yd = forest.samples_to_arrays(data)
         np.testing.assert_allclose(X, Xd, rtol=1e-8)
         np.testing.assert_allclose(y, yd, rtol=1e-8)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,11 +368,22 @@ class TestConfigValidation:
         (1.7e308, 1, 1000, "inf"),
         (1e6, 10**400, 1, "inf"),
         (1e6, 30, 10**400, "inf"),
-    ], ids=["zero", "infinite", "huge-numerator", "huge-denominator"])
+        (1e-320, 30, 1, "3.3e-322"),
+        (1e308, 1, 1, "1e+308"),
+    ], ids=["zero", "infinite", "huge-numerator", "huge-denominator", "below-one-bit",
+            "above-2^53"])
     def test_frame_budget_must_be_finite_and_positive(self, bitrate, fps_num, fps_den, budget):
-        with pytest.raises(ValueError, match=f"frame budget .* finite and positive, got {budget}"):
+        """The budget must be a frame's bits, in [1, 2^53]: finite, positive and
+        small enough that the deficit and the deviation stay finite."""
+        with pytest.raises(ValueError, match=r"frame budget .* " + re.escape(
+                f"in [1, 2^53] bits, got {budget}")):
             rc.RcConfig(target_bitrate=bitrate, fps_num=fps_num, fps_den=fps_den,
                         resolution=RES_4K)
+
+    def test_frame_budget_bounds_are_inclusive(self):
+        for budget in (1.0, 2.0**53):
+            cfg = rc.RcConfig(target_bitrate=budget * 30, fps_num=30, resolution=RES_4K)
+            assert cfg.frame_budget == budget
 
     def test_frame_budget_rational_fps(self):
         cfg = rc.RcConfig(target_bitrate=30_000.0, fps_num=30000, fps_den=1001,

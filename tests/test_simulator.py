@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -48,9 +49,15 @@ class TestSimBits:
         assert sim.sim_bits(F, 0, PIXELS, sim.SimParams(kappa=1e300)) == 2**53
         # log-noise of this spread overflows the factor to inf or 0
         wild = sim.SimParams(noise_sigma=1e308)
-        with np.errstate(over="ignore"):
-            bits = {sim.sim_bits(F, q, PIXELS, wild) for q in range(64)}
-        assert bits == {1, 2**53}
+        assert {sim.sim_bits(F, q, PIXELS, wild) for q in range(64)} == {1, 2**53}
+
+    def test_wide_noise_warns_nothing(self):
+        # seeds 10 and 13 draw log-factors above 709, where exp overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = [sim.sim_bits(F, 30, PIXELS, sim.SimParams(noise_sigma=1000.0, seed=seed))
+                    for seed in range(16)]
+        assert all(1 <= b <= 2**53 for b in bits)
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
@@ -92,13 +99,13 @@ class TestGenerateDataset:
 
     def test_deterministic(self):
         params = sim.SimParams(kappa=1.0, noise_sigma=0.1)
-        a = sim.generate_dataset(100, params, seed=5)
-        b = sim.generate_dataset(100, params, seed=5)
-        assert all(x.bits == y.bits and x.q == y.q for x, y in zip(a, b))
+        (Xa, ya), (Xb, yb) = (sim.generate_dataset(100, params, seed=5) for _ in range(2))
+        np.testing.assert_array_equal(Xa, Xb)
+        np.testing.assert_array_equal(ya, yb)
 
     def test_q_range_respected(self):
-        data = sim.generate_dataset(500, sim.SimParams(kappa=1.0), seed=2)
-        assert all(18 <= s.q <= 48 for s in data)
+        X, _ = sim.generate_dataset(500, sim.SimParams(kappa=1.0), seed=2)
+        assert ((18 <= X[:, 6]) & (X[:, 6] <= 48)).all()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
