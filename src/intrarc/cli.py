@@ -158,6 +158,10 @@ def cmd_train(args) -> int:
         n_test = max(1, int(round(args.holdout * len(y))))
         test_idx, train_idx = perm[:n_test], perm[n_test:]
         n_train = int(train_idx.size)
+        if n_train < hp.min_samples_split:
+            raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} rows "
+                             f"of {args.data}, leaving {n_train} to train on; training needs "
+                             f"at least {hp.min_samples_split}")
         ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
         if ss_tot == 0.0:
             raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "

@@ -9,21 +9,29 @@ sorted values. Split-score ties break toward the lowest feature index,
 then the lowest threshold. Leaves store the mean target of their
 samples.
 
-Trees are grown breadth-first, so their nodes sit in level order and
-the k-th split node's children are at slots 1 + 2k and 2 + 2k. Models
-serialize to a compact little-endian binary: magic "IRCF", a format
-version, the tree count, the training feature range, per tree the node
-count, the feature of every node and the value of every node (the
-threshold at a split node, the mean at a leaf), and a trailing CRC-32.
-The file holds only what prediction reads; how the forest was trained
-goes to the `train` manifest.
+Trees are grown one depth level at a time. A level's samples sit in one
+array, each node a contiguous segment in slot order, and every node of
+the level is searched at once: per input, one sort of the level by node
+and rank and one prefix-sum scan per group of nodes of similar size. A
+node keeps its samples in the order that splitting one node at a time
+gives (its parent's, stably sorted by the parent's split input), so its
+mean and prefix sums add the same numbers in the same order, and the
+trees are bit for bit those of a node-by-node grower. Nodes sit in
+level order, and the k-th split node's children are at slots 1 + 2k
+and 2 + 2k.
+
+Models serialize to a compact little-endian binary: magic "IRCF", a
+format version, the tree count, the training feature range, per tree
+the node count, the feature of every node and the value of every node
+(the threshold at a split node, the mean at a leaf), and a trailing
+CRC-32. The file holds only what prediction reads; how the forest was
+trained goes to the `train` manifest.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -94,60 +102,156 @@ class ForestModel:
         return predict_batch(self, X)
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray):
-    """Best (feature, threshold, gain, sorted order, position) or None.
+def _ranks(X: np.ndarray) -> np.ndarray:
+    """The (7, n) ranks of each input's values among its distinct values,
+    so that equal values, 0.0 and -0.0 included, share a rank."""
+    ranks = np.empty(X.T.shape, dtype=np.min_scalar_type(X.shape[0]))
+    for c, col in enumerate(X.T):
+        ranks[c] = np.unique(col, return_inverse=True)[1]
+    return ranks
 
-    Gain is the SSE reduction of the node's samples; candidate cut
-    points sit between consecutive distinct sorted values. First-match
-    argmax realizes the lowest-threshold / lowest-feature tie-break.
+
+def _segment_means(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The np.mean of each of v's consecutive segments of `sizes` values.
+
+    np.add.reduceat adds a segment's first value to the pairwise sum of
+    the rest, where np.mean adds the pairwise sum of all values to 0, so
+    a 0 put before each segment makes the two sums equal.
     """
-    n = yn.size
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys = (yn - yn.mean())[order]
-    left_sum = np.cumsum(ys, axis=0)[:-1]
-    k = np.arange(1, n, dtype=np.float64)
-    gains = left_sum**2 * (n / (k * (n - k)))[:, None]
-    gains[xs[1:] == xs[:-1]] = -np.inf
-    pos = np.argmax(gains, axis=0)
-    col_gain = gains[pos, np.arange(gains.shape[1])]
-    col = int(np.argmax(col_gain))
-    if not np.isfinite(col_gain[col]):
-        return None
-    p = int(pos[col])
-    threshold = (xs[p, col] + xs[p + 1, col]) / 2.0
-    return col, threshold, float(col_gain[col]), order[:, col], p
+    padded = np.zeros(v.size + sizes.size)
+    padded[np.arange(v.size) + np.repeat(np.arange(1, sizes.size + 1), sizes)] = v
+    return np.add.reduceat(padded, np.cumsum(sizes) - sizes + np.arange(sizes.size)) / sizes
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
-    """One tree, and the SSE reduction of its splits summed per input."""
+def _grow_tree(X: np.ndarray, ranks: np.ndarray, y: np.ndarray,
+               max_depth: int) -> tuple[Tree, np.ndarray]:
+    """One tree, and the SSE reduction of its splits summed per input.
+
+    `ranks` holds the `_ranks` of X's rows, taken in X or in any table
+    that contains them.
+    """
+    n = y.size
     # A tree has at most one leaf per sample and 2**max_depth leaves.
-    cap = min(2 * y.size - 1, 2 ** (max_depth + 1) - 1)
+    cap = min(2 * n - 1, 2 ** (max_depth + 1) - 1)
     feature = np.full(cap, -1, dtype=np.int8)
     value = np.zeros(cap)
     gains = np.zeros(N_FEATURES)
-    n_nodes = 1
-    # FIFO: nodes are split in slot order, which puts the k-th split
-    # node's children at 1 + 2k and 2 + 2k.
-    queue = deque([(np.arange(y.size), 0, 0)])
-    while queue:
-        idx, depth, slot = queue.popleft()
-        yn = y[idx]
-        lo, hi = yn.min(), yn.max()
-        found = None
-        if depth < max_depth and hi != lo:
-            found = _best_split(X[idx], yn)
-        if found is None:
-            # The rounded mean can land an ulp outside its samples' range.
-            value[slot] = min(max(yn.mean(), lo), hi)
-            continue
-        col, thr, g, order, p = found
-        feature[slot], value[slot] = col, thr
-        gains[col] += g
-        queue.append((idx[order[: p + 1]], depth + 1, n_nodes))
-        queue.append((idx[order[p + 1:]], depth + 1, n_nodes + 1))
-        n_nodes += 2
+    bits = int(max(ranks.max(), n - 1)).bit_length()
+    # The level's samples: each node is a segment, in slot order, and holds
+    # its samples in the order that splitting one node at a time gives.
+    samples, sizes = np.arange(n), np.array([n])
+    base = 0   # slot of the level's first node
+    for depth in range(max_depth + 1):
+        m = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        y_level = y[samples]
+        mean = _segment_means(y_level, sizes)
+        lo = np.minimum.reduceat(y_level, starts)
+        hi = np.maximum.reduceat(y_level, starts)
+        # The rounded mean can land an ulp outside its samples' range.
+        value[base:base + m] = np.minimum(np.maximum(mean, lo), hi)
+        open_ = hi != lo
+        if depth == max_depth or not open_.any():
+            break
+        nodes = np.flatnonzero(open_)
+        counts = sizes[nodes]
+        kept = np.repeat(open_, sizes)
+        gain, col, pos, ordered = _level_splits(
+            ranks, bits, samples[kept], counts, y_level[kept] - np.repeat(mean[nodes], counts))
+        split = np.isfinite(gain)
+        if not split.any():
+            break
+        cut = (np.cumsum(counts) - counts + pos)[split]   # last left sample
+        nodes, col, pos, gain = nodes[split], col[split], pos[split], gain[split]
+        feature[base + nodes] = col
+        below, above = X[ordered[cut], col], X[ordered[cut + 1], col]
+        with np.errstate(over="ignore"):
+            mid = (below + above) / 2.0
+        # Values beyond half the float range overflow their sum: halve first.
+        value[base + nodes] = np.where(np.isinf(mid), below / 2.0 + above / 2.0, mid)
+        np.add.at(gains, col, gain)
+        # Split node k's children are the next level's nodes 2k and 2k + 1.
+        samples = ordered[np.repeat(split, counts)]
+        sizes = np.column_stack([pos + 1, counts[split] - pos - 1]).ravel()
+        base += m
+    n_nodes = base + sizes.size
     return Tree(feature=feature[:n_nodes].copy(), value=value[:n_nodes].copy()), gains
+
+
+def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.ndarray,
+                  centred: np.ndarray):
+    """Best split of each node of a level: (gain, input, position, ordered).
+
+    `samples` holds the nodes as consecutive segments of `counts` samples,
+    `centred` their targets minus their node's mean and `ranks` the
+    inputs' ranks, each below 2**bits, which is at least the sample count. A
+    node's gain is -inf if it has no cut; `position` is the offset of its
+    last left sample, and `ordered` the samples with each node's segment
+    stably sorted by the node's input. Candidate cuts sit between
+    consecutive distinct sorted values, and the first maximum over
+    positions and then over inputs wins: the lowest threshold, then the
+    lowest input.
+    """
+    k = counts.size
+    seg = np.repeat(np.arange(k), counts)
+    starts = np.cumsum(counts) - counts
+    first = starts[seg]
+    offset = np.arange(samples.size) - first
+    last = offset == counts[seg] - 1
+    # Node j has width W_j, the least power of two >= its size, and its
+    # samples get the int64 sort keys
+    #   (sum of W_i over nodes i < j) << bits  +  rank << log2(W_j)  +  offset.
+    # A plain sort then orders the level by node, then rank, then offset:
+    # the stable order. key & (W_j - 1) is the offset, key >> log2(W_j) is
+    # equal for equal ranks, and keys stay below 4 n**2, which int64 holds
+    # for up to 1.5e9 samples.
+    shift = np.frexp(counts - 1)[1].astype(np.int64)
+    width = 1 << shift
+    base = ((np.cumsum(width) - width) << bits)[seg] + offset
+    shift, mask = shift[seg], (width - 1)[seg]
+    # Node j also owns W_j cells of a flat buffer, in which the nodes of
+    # one width form the rows of a (rows, W) table, so one row-wise cumsum
+    # adds each node's samples in the order a sequential scan of the node
+    # would.
+    by_width = np.argsort(width, kind="stable")
+    row_width = width[by_width]
+    row_start = np.cumsum(row_width) - row_width
+    cell = np.empty(k, dtype=np.intp)
+    cell[by_width] = row_start
+    dest = cell[seg] + offset
+    tables = []
+    for w in np.unique(row_width).tolist():
+        r0, r1 = np.searchsorted(row_width, [w, w + 1]).tolist()
+        tables.append((slice(int(row_start[r0]), int(row_start[r0]) + (r1 - r0) * w), w))
+    prefix = np.empty(int(row_width.sum()))
+    # The gain of the cut after offset i of a node of n samples: the sum
+    # of the first i + 1 centred targets, squared, times n / (k * (n - k))
+    # with k = i + 1 (k = n is no cut; divide by 1 there).
+    size = counts[seg].astype(np.float64)
+    left = offset + 1.0
+    factor = size / np.where(last, 1.0, left * (size - left))
+    best_gain = np.full(k, -np.inf)
+    best_col = np.zeros(k, dtype=np.intp)
+    best_pos = np.zeros(k, dtype=np.intp)
+    for c in range(N_FEATURES):
+        key = np.sort((ranks[c][samples] << shift) + base)
+        table = np.zeros(prefix.size)
+        table[dest] = centred[first + (key & mask)]
+        for rows, w in tables:
+            np.cumsum(table[rows].reshape(-1, w), axis=1, out=prefix[rows].reshape(-1, w))
+        # No cut after a node's last sample or between equal ranks.
+        blocked = last.copy()
+        rank = key >> shift
+        blocked[:-1] |= rank[1:] == rank[:-1]
+        gain = np.where(blocked, -np.inf, prefix[dest] ** 2 * factor)
+        top = np.maximum.reduceat(gain, starts)
+        won = top > best_gain
+        best_gain[won] = top[won]
+        best_col[won] = c
+        best_pos[won] = np.minimum.reduceat(np.where(gain == top[seg], offset, samples.size),
+                                            starts)[won]
+    key = np.sort((ranks[best_col[seg], samples] << shift) + base)
+    return best_gain, best_col, best_pos, samples[first + (key & mask)]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -176,14 +280,15 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
         )
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data contains non-finite values")
-    if (y <= 0).any():
-        raise ValueError("bits targets must be positive")
+    if ((y < tables.BITS.lo) | (y > tables.BITS.hi)).any():
+        raise ValueError("bits targets must be positive bit counts in [1, 2^53]")
 
     n = X.shape[0]
+    ranks = _ranks(X)
 
     def build(t: int) -> tuple[Tree, np.ndarray]:
         boot = _tree_rng(hp.seed, t).integers(0, n, size=n)
-        return _grow_tree(X[boot], y[boot], hp.max_depth)
+        return _grow_tree(X[boot], ranks[:, boot], y[boot], hp.max_depth)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -278,11 +383,18 @@ def _read_tree(rd: _Reader) -> Tree:
                                f"and their children need {2 * slots.size + 1}")
     if (1 + 2 * np.arange(slots.size) <= slots).any():
         raise ModelFormatError("split node whose children are not later slots in its tree")
+    # Training writes finite thresholds and leaf means inside its targets' range.
+    if not np.isfinite(value[slots]).all():
+        raise ModelFormatError("non-finite split threshold")
+    leaves = value[feature < 0]
+    if not ((leaves >= tables.BITS.lo) & (leaves <= tables.BITS.hi)).all():
+        raise ModelFormatError("leaf value that is not a bit count in [1, 2^53]")
     return Tree(feature=feature, value=value)
 
 
 def load(path: str) -> ForestModel:
-    """Read a model back; verifies magic, version, checksum and tree structure."""
+    """Read a model back; verifies magic, version, checksum, tree structure
+    and that every value is one training can write."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != _MAGIC:
@@ -301,6 +413,8 @@ def load(path: str) -> ForestModel:
     try:
         fmin = rd.array("<f8", N_FEATURES)
         fmax = rd.array("<f8", N_FEATURES)
+        if not (np.isfinite(fmin).all() and np.isfinite(fmax).all() and (fmin <= fmax).all()):
+            raise ModelFormatError("feature range is not finite with min <= max")
         trees = [_read_tree(rd) for _ in range(n_trees)]
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

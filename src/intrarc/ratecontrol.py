@@ -115,15 +115,15 @@ def build_first_pass(features: Sequence[FrameFeatures], model,
     """Predict bits for every frame at the configured first-pass QP.
 
     `model` is a batched predictor mapping the (n, 7) `[features | QP]`
-    matrix to n bit counts, such as a trained ForestModel; predictions
-    are floored at 1.
+    matrix to n bit counts, such as a trained ForestModel. A prediction
+    that is not finite or is below 1 bit raises ValueError.
     """
     if not features:
         raise ValueError("no frames to build a first pass for")
     q = cfg.first_pass_qp
     preds = np.asarray(model(feature_matrix(features, q)), dtype=np.float64).tolist()
     return [
-        FirstPassRecord(frame_index=f.frame_index, q_p=q, b_hat_p=max(1.0, b))
+        FirstPassRecord(frame_index=f.frame_index, q_p=q, b_hat_p=b)
         for f, b in zip(features, preds)
     ]
 

@@ -166,6 +166,20 @@ class TestTrain:
         assert "holdout R2 is undefined: the bits of the 1 held-out rows have zero variance" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("holdout, n_test", [(0.96, 10), (0.9, 9)])
+    def test_holdout_leaving_too_few_rows_is_usage_error(self, tmp_path, capsys,
+                                                         holdout, n_test):
+        path = tmp_path / "ten.csv"
+        forest.write_training_csv(str(path), *sim.generate_dataset(
+            10, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3))
+        out = tmp_path / "m.ircf"
+        assert run("train", "--data", path, "--trees", 2, "--holdout", holdout,
+                   "--out", out) == 2
+        assert (f"--holdout {holdout} holds out {n_test} of the 10 rows of {path}, "
+                f"leaving {10 - n_test} to train on; training needs at least 2"
+                ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_model_bytes(self, tmp_path, training_csv):
         a = tmp_path / "a.ircf"
         b = tmp_path / "b.ircf"
@@ -224,6 +238,26 @@ class TestPredict:
                    "--qp", 32) == 3
         err = capsys.readouterr().err
         assert str(model_path) in err and message in err
+
+
+    @pytest.mark.parametrize("leaf", [float("nan"), float("inf"), 0.5, 2.0**54])
+    @pytest.mark.parametrize("command", ["predict", "rc"])
+    def test_leaf_training_cannot_write_is_data_error(self, tmp_path, training_csv, capsys,
+                                                      command, leaf):
+        model_path = tmp_path / "m.ircf"
+        assert run("train", "--data", training_csv, "--trees", 2, "--max-depth", 3,
+                   "--out", model_path) == 0
+        model = forest.load(str(model_path))
+        model.trees[1].value[model.trees[1].feature < 0] = leaf
+        forest.save(model, str(model_path))
+        feats_path, _ = _features_csv(tmp_path, n=3)
+        flags = {"predict": ["--qp", 32],
+                 "rc": ["--bitrate", 1e6, "--fps", 30, "--resolution", "128x128",
+                        "--trace", tmp_path / "trace.csv"]}[command]
+        assert run(command, "--model", model_path, "--features", feats_path, *flags) == 3
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "leaf value that is not a bit count in [1, 2^53]" in err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 def _features_csv(tmp_path, n=40, seed=42):

@@ -10,6 +10,7 @@ from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 
 from conftest import FIRST_TREE, malform_model, reseal
+from reference_forest import grow_tree as reference_grow_tree
 
 CONST_FEATURES = FrameFeatures(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0)
 
@@ -143,6 +144,25 @@ class TestTraining:
         with pytest.raises(ValueError, match="positive"):
             forest.train_arrays(np.ones((4, 7)), np.array([1.0, 2.0, 0.0, 3.0]))
 
+    @pytest.mark.parametrize("bits", [0.5, 2.0**53 + 2])
+    def test_bits_outside_bit_count_range_rejected(self, bits):
+        with pytest.raises(ValueError, match=r"positive bit counts in \[1, 2\^53\]"):
+            forest.train_arrays(np.ones((4, 7)), np.array([1.0, 2.0, bits, 3.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_thresholds_between_huge_inputs_load(self, tmp_path):
+        # The sum of two inputs beyond half the float range overflows.
+        X = np.zeros((4, 7))
+        X[:, 0] = [1.5e308, 1.6e308, 1.7e308, 1.75e308]
+        y = np.array([10.0, 10.0, 20.0, 20.0])
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=4))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        loaded = forest.load(str(path))
+        assert all(np.isfinite(tree.value).all() for tree in loaded.trees)
+        np.testing.assert_array_equal(forest.predict_batch(loaded, X),
+                                      forest.predict_batch(model, X))
+
     def test_max_depth_respected(self):
         X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
         for depth in (1, 3):
@@ -161,7 +181,7 @@ class TestTraining:
     def test_slots_in_level_order(self):
         X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
         hp = forest.ForestHyperparams(max_depth=6)
-        tree, _ = forest._grow_tree(X, y, hp.max_depth)
+        tree, _ = forest._grow_tree(X, forest._ranks(X), y, hp.max_depth)
         kids = children(tree)
         depth = np.zeros(tree.n_nodes, dtype=int)
         for slot, (left, right) in kids.items():
@@ -179,6 +199,77 @@ class TestTraining:
         assert set(node) == set(np.flatnonzero(tree.feature < 0))
         for leaf in set(node):
             assert tree.value[leaf] == pytest.approx(y[node == leaf].mean(), rel=1e-12)
+
+
+def assert_grown_as_reference(X, y, max_depth, ranks=None):
+    """The level-wise grower gives byte for byte the tree and per-input
+    gains of the node-by-node reference."""
+    want, want_gains = reference_grow_tree(X, y, max_depth)
+    got, got_gains = forest._grow_tree(X, forest._ranks(X) if ranks is None else ranks, y,
+                                       max_depth)
+    assert got.feature.tobytes() == want.feature.tobytes()
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got_gains.tobytes() == want_gains.tobytes()
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """(X, y, max_depth): inputs of few distinct values, 0.0 mixed with
+    -0.0 in some columns, and targets rounded to one decimal."""
+    n = draw(st.integers(2, 80))
+    values = {"rounded": st.integers(-30, 30).map(lambda v: v / 10),
+              "few": st.integers(0, 3).map(float),
+              "signed_zero": st.sampled_from([0.0, -0.0])}
+    columns = [draw(st.lists(values[draw(st.sampled_from(sorted(values)))],
+                             min_size=n, max_size=n)) for _ in range(forest.N_FEATURES)]
+    y = draw(st.lists(st.integers(10, 90).map(lambda v: v / 10), min_size=n, max_size=n))
+    return np.array(columns).T, np.array(y), draw(st.integers(1, 8))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLevelWiseGrower:
+    @pytest.mark.parametrize("data", ["q_split", "constant", "sim300", "sim500", "sim3000"])
+    @pytest.mark.parametrize("max_depth", [1, 4, 12])
+    def test_unit_datasets(self, data, max_depth):
+        X, y = {
+            "q_split": q_split_data,
+            "constant": lambda: const_data([10, 20, 30, 40, 50], [1000.0] * 5),
+            "sim300": lambda: sim.generate_dataset(
+                300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=7),
+            "sim500": lambda: sim.generate_dataset(
+                500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2),
+            "sim3000": lambda: sim.generate_dataset(
+                3000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=11),
+        }[data]()
+        assert_grown_as_reference(X, y, max_depth)
+
+    def test_acceptance_dataset_bootstraps(self):
+        # The acceptance suite's training split, with ranks taken over the
+        # whole split as train_arrays takes them.
+        X, y = sim.generate_dataset(10_000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=7,
+                                    pixels=3840 * 2160)
+        train = np.random.default_rng(0).permutation(10_000)[2_000:]
+        X, y = X[train], y[train]
+        ranks = forest._ranks(X)
+        for t in range(4):
+            boot = forest._tree_rng(0, t).integers(0, y.size, size=y.size)
+            assert_grown_as_reference(X[boot], y[boot], 12, ranks[:, boot])
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=tie_heavy_tables())
+    def test_tie_heavy_tables(self, table):
+        assert_grown_as_reference(*table)
+
+    def test_segment_means_equal_np_mean(self):
+        # np.add.reduceat and np.mean add in different orders; the grower's
+        # leaf means must be np.mean's to the bit.
+        rng = np.random.default_rng(5)
+        for high in (9, 130, 3000, 20_000):
+            sizes = rng.integers(1, high, size=rng.integers(1, 12))
+            v = rng.uniform(1.0, 1e6, sizes.sum()) * rng.choice([1e-3, 1.0, 1e3], sizes.sum())
+            starts = np.cumsum(sizes) - sizes
+            want = [np.mean(v[a:a + n]) for a, n in zip(starts, sizes)]
+            assert forest._segment_means(v, sizes).tolist() == want
 
 
 class TestPredict:
@@ -332,6 +423,41 @@ class TestSerialization:
         trees = sum(4 + 9 * t.n_nodes for t in model.trees)
         assert size == path.stat().st_size == FIRST_TREE + trees + 4
 
+    @pytest.mark.parametrize("field, bad, match", [
+        ("threshold", np.nan, "non-finite split threshold"),
+        ("threshold", -np.inf, "non-finite split threshold"),
+        ("leaf", np.nan, "leaf value that is not a bit count"),
+        ("leaf", np.inf, "leaf value that is not a bit count"),
+        ("leaf", 0.5, "leaf value that is not a bit count"),
+        ("leaf", 2.0**53 + 2, "leaf value that is not a bit count"),
+        ("feature_min", np.nan, "feature range is not finite with min <= max"),
+        ("feature_max", np.inf, "feature range is not finite with min <= max"),
+        ("feature_min", 50.0, "feature range is not finite with min <= max"),  # q max is 40
+    ])
+    def test_value_training_cannot_write_rejected(self, tmp_path, field, bad, match):
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2,
+                                                                         max_depth=1))
+        tree = model.trees[1]
+        if field == "threshold":
+            tree.value[0] = bad
+        elif field == "leaf":
+            tree.value[-1] = bad
+        else:
+            getattr(model, field)[6] = bad
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        with pytest.raises(forest.ModelFormatError, match=match) as err:
+            forest.load(str(path))
+        assert str(path) in str(err.value)
+
+    def test_bit_count_bounds_are_valid_leaves(self, tmp_path):
+        leaf = lambda v: forest.Tree(feature=np.array([-1], np.int8), value=np.array([v]))
+        model = forest.ForestModel(trees=[leaf(1.0), leaf(2.0**53)],
+                                   feature_min=np.zeros(7), feature_max=np.zeros(7))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        assert [t.value[0] for t in forest.load(str(path)).trees] == [1.0, 2.0**53]
+
     @pytest.mark.parametrize("case, match", [
         ("feature", "feature outside"),
         ("left_not_later", "children"),
@@ -419,6 +545,7 @@ def assert_rejected_or_usable(valid, body):
     assert forest.predict_batch(model, X).shape == (16,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
                       min_size=1, max_size=6),
@@ -433,6 +560,7 @@ def test_mutated_model_is_rejected_or_usable(small_model_body, edits, resize):
     assert_rejected_or_usable(valid, body)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_structurally_mutated_model_is_rejected_or_usable(small_model_body, data):

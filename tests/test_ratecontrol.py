@@ -166,11 +166,11 @@ class TestFirstPass:
         with pytest.raises(ValueError, match="no frames"):
             rc.build_first_pass([], lambda X: np.ones(len(X)), cfg_4k())
 
-    def test_prediction_floored_at_one(self):
-        records = rc.build_first_pass(
-            [FrameFeatures(0, 0, 0, 0, 0, 0, 0)], lambda X: np.full(len(X), 0.001), cfg_4k()
-        )
-        assert records[0].b_hat_p == 1.0
+    @pytest.mark.parametrize("bits", [0.001, 0.0, -5.0, np.nan, np.inf])
+    def test_prediction_that_is_no_bit_count_rejected(self, bits):
+        with pytest.raises(ValueError, match="must be finite and >= 1"):
+            rc.build_first_pass([FrameFeatures(0, 0, 0, 0, 0, 0, 0)],
+                                lambda X: np.full(len(X), bits), cfg_4k())
 
     def test_monotone_in_texture_with_sim_predictor(self):
         cfg = cfg_4k()
