@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -747,9 +748,9 @@ print(json.dumps(out))
 
 
 class TestScipyImport:
-    """scipy costs most of the CLI's start-up, so only bdrate may import it."""
+    """numpy is the only runtime dependency: no subcommand imports scipy."""
 
-    def _probe(self, tmp_path, y4m_file, training_csv, mode, subcommands):
+    def _probe(self, tmp_path, y4m_file, training_csv, mode):
         model, feats = tmp_path / "m.ircf", tmp_path / "f.csv"
         anchor, test = _write_curves(tmp_path, 1.1)
         chain = [
@@ -763,23 +764,31 @@ class TestScipyImport:
             ("bdrate", ["bdrate", "--anchor", anchor, "--test", test,
                         "--out", tmp_path / "bd.json"]),
         ]
-        calls = [(name, [str(a) for a in argv]) for name, argv in chain if name in subcommands]
+        calls = [(name, [str(a) for a in argv]) for name, argv in chain]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
         proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, mode, json.dumps(calls)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    def test_only_bdrate_imports_scipy(self, tmp_path, y4m_file, training_csv):
-        out = self._probe(tmp_path, y4m_file, training_csv, "open",
-                          {"analyze", "train", "predict", "rc", "bdrate"})
+    def test_no_subcommand_imports_scipy(self, tmp_path, y4m_file, training_csv):
+        out = self._probe(tmp_path, y4m_file, training_csv, "open")
         assert out == {"import": [0, False], "analyze": [0, False], "train": [0, False],
-                       "predict": [0, False], "rc": [0, False], "bdrate": [0, True]}
+                       "predict": [0, False], "rc": [0, False], "bdrate": [0, False]}
 
     def test_chain_runs_without_scipy(self, tmp_path, y4m_file, training_csv):
-        out = self._probe(tmp_path, y4m_file, training_csv, "blocked",
-                          {"analyze", "train", "predict", "rc"})
-        assert [code for code, _ in out.values()] == [0] * 5
+        out = self._probe(tmp_path, y4m_file, training_csv, "blocked")
+        assert [code for code, _ in out.values()] == [0] * 6
+
+    def test_scipy_is_a_test_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+
+        def names(deps):
+            return [re.match(r"[\w.-]+", d).group() for d in deps]
+        assert names(project["dependencies"]) == ["numpy"]
+        assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 # An rc run on a small model; a case appends the flags it changes, and the
