@@ -310,6 +310,9 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The cores this process may run on, which can be fewer than the machine has.
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     parser = argparse.ArgumentParser(
         prog="intrarc",
         description="Two-pass all-intra rate control from low-complexity video features",
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw-geometry", default=None,
                    help="WxH:BITDEPTH:CHROMA for headerless input, e.g. 1920x1080:8:420")
     p.add_argument("--block-size", type=int, default=32, help="luma DCT block size")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=cores)
     p.add_argument("--out", required=True, help="features CSV output path")
     p.set_defaults(func=cmd_analyze)
 
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--holdout", type=float, default=None,
                    help="held-out fraction for R2/MAE reporting")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=cores)
     p.add_argument("--out", required=True, help="model file output path")
     p.set_defaults(func=cmd_train)
 

@@ -30,10 +30,6 @@ FEATURE_COLUMNS = {"frame_index": tables.INDEX, "e_y": tables.ENERGY, "l_y": tab
 # Chroma of a luma-only frame is reported as mid-grey with zero texture.
 NEUTRAL_CHROMA_LEVEL = 0.5
 
-# Block rows transformed at a time. The float64 temporaries of a plane are
-# a few strips (8 MB each at 2160p with 32x32 blocks), not the whole plane.
-STRIP_BLOCK_ROWS = 8
-
 # Luma DCT block sizes; chroma uses half the luma size, at least 8.
 BLOCK_SIZES = (8, 16, 32, 64)
 
@@ -94,41 +90,36 @@ def _dct_matrix(w: int) -> np.ndarray:
     return cached
 
 
-def _pad_to_blocks(plane: np.ndarray, w: int) -> np.ndarray:
-    h, width = plane.shape
-    pad_r = (-h) % w
-    pad_c = (-width) % w
-    if pad_r or pad_c:
-        plane = np.pad(plane, ((0, pad_r), (0, pad_c)), mode="edge")
-    return plane
-
-
 def block_texture_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
     """Weighted absolute-AC DCT sums for every block of a 2-D plane.
 
     Edge blocks are completed by replicating the last row/column. The
     returned array is unnormalized (one raw energy per block).
 
-    The transform runs as two matrix products over strips of
-    STRIP_BLOCK_ROWS block rows. Each block's top-left sample is
-    subtracted first: that moves only the DC term, which is excluded,
-    and makes the AC terms of a flat block exactly zero.
+    The transform runs as two matrix products over one block row at a
+    time, so the float64 temporaries are a few block rows (1 MB each at
+    2160p with 32x32 blocks), small enough to stay in cache; only a
+    block row with a partial block is padded. Each block's top-left
+    sample is subtracted first: that moves only the DC term, which is
+    excluded, and makes the AC terms of a flat block exactly zero.
     """
     w = block_size
-    padded = _pad_to_blocks(np.asarray(plane), w)
-    nr, nc = padded.shape[0] // w, padded.shape[1] // w
+    plane = np.asarray(plane)
+    h, width = plane.shape
+    nr, nc = -(-h // w), -(-width // w)
     c = _dct_matrix(w)
     weights = _ac_weights(w)
     out = np.empty((nr, nc))
-    for r0 in range(0, nr, STRIP_BLOCK_ROWS):
-        r1 = min(nr, r0 + STRIP_BLOCK_ROWS)
-        blocks = padded[r0 * w:r1 * w].reshape(r1 - r0, w, nc, w).transpose(0, 2, 1, 3)
-        blocks = blocks.astype(np.float64, order="C")
-        blocks -= blocks[:, :, :1, :1]
+    for r in range(nr):
+        strip = plane[r * w:(r + 1) * w]
+        if strip.shape != (w, nc * w):
+            strip = np.pad(strip, ((0, w - strip.shape[0]), (0, nc * w - width)), mode="edge")
+        blocks = strip.reshape(w, nc, w).transpose(1, 0, 2).astype(np.float64, order="C")
+        blocks -= blocks[:, :1, :1]
         coeffs = c @ blocks @ c.T
         np.abs(coeffs, out=coeffs)
         coeffs *= weights
-        out[r0:r1] = coeffs.sum(axis=(-2, -1))
+        out[r] = coeffs.sum(axis=(-2, -1))
     return out.reshape(-1)
 
 
@@ -164,8 +155,9 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
                      threads: int = 1) -> list[FrameFeatures]:
     """Extract features for a whole frame stream, ordered by frame index.
 
-    With threads > 1 at most 2 * threads frames are in flight, so memory
-    stays bounded by a few frames whatever the stream length.
+    With threads > 1 at most threads + 1 frames are held: the oldest
+    result is awaited before the next frame is read, so memory stays
+    bounded by a few frames whatever the stream length.
     """
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -174,9 +166,9 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
         pending = deque()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for frame in frames:
-                if len(pending) == 2 * threads:
-                    result.append(pending.popleft().result())
                 pending.append(pool.submit(extract_features, frame, cfg))
+                if len(pending) > threads:
+                    result.append(pending.popleft().result())
             result.extend(f.result() for f in pending)
     else:
         result = [extract_features(f, cfg) for f in frames]

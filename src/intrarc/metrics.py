@@ -113,7 +113,15 @@ def _bd_rate_and_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float, 
             f"no PSNR overlap: anchor {anchor.psnr_range()}, test {test.psnr_range()}")
     ia = _log_rate_integral(anchor, "anchor", lo, hi)
     it = _log_rate_integral(test, "test", lo, hi)
-    return 100.0 * (10.0 ** ((it - ia) / (hi - lo)) - 1.0), lo, hi
+    offset = (it - ia) / float(hi - lo)  # a Python float overflows with an error, not a warning
+    try:
+        rate = 100.0 * (10.0 ** offset - 1.0)
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError(f"BD-rate is not finite: mean log10-rate offset of test over anchor "
+                         f"is {offset:.6g}")
+    return rate, lo, hi
 
 
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:

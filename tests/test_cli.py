@@ -799,6 +799,16 @@ BUDGET = "frame budget target_bitrate * fps_den / fps_num must be in [1, 2^53] b
 
 
 class TestUsage:
+    def test_threads_default_to_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        parser = cli.build_parser()
+        assert parser.parse_args(["analyze", "--input", "a", "--out", "b"]).threads == 1
+        assert parser.parse_args(["train", "--data", "a", "--out", "b"]).threads == 1
+        # without an affinity call, every CPU the machine reports
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli.build_parser().parse_args(["analyze", "--input", "a", "--out", "b"]).threads == 3
+
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("subcommand", ["analyze", "train"])
     def test_threads_below_one_is_usage_error(self, tmp_path, y4m_file, training_csv,

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,33 @@ class TestBlockEnergy:
         padded = np.pad(plane, ((0, 16), (0, 16)), mode="edge")
         direct = feat.block_texture_energies(plane, 32)
         manual = feat.block_texture_energies(padded, 32)
-        np.testing.assert_allclose(np.sort(direct), np.sort(manual), rtol=1e-12)
+        assert np.array_equal(direct, manual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.sampled_from(feat.BLOCK_SIZES), data=st.data())
+    def test_padding_is_exact(self, w, data):
+        """Ragged planes give, block for block, the bits of the plane padded by replication."""
+        h = data.draw(st.integers(1, 3 * w + 1), label="rows")
+        width = data.draw(st.integers(1, 3 * w + 1), label="columns")
+        dtype, top = data.draw(st.sampled_from([(np.uint8, 256), (np.uint16, 1024)]))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        plane = np.random.default_rng(seed).integers(0, top, (h, width), dtype=dtype)
+        padded = np.pad(plane, ((0, -h % w), (0, -width % w)), mode="edge")
+        assert np.array_equal(feat.block_texture_energies(plane, w),
+                              feat.block_texture_energies(padded, w))
+
+    @pytest.mark.parametrize("w", [32, 64])
+    def test_memory_is_a_few_block_rows(self, w):
+        """float64 temporaries are a few block rows of the plane, never the whole plane."""
+        plane = np.zeros((2160, 3840), np.uint8)
+        plane[::7, ::3] = 200
+        tracemalloc.start()
+        try:
+            feat.block_texture_energies(plane, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * w * 3840 * 8
 
     def test_block_order_permutation_invariant(self, rng):
         plane = rng.integers(0, 256, (128, 128)).astype(np.float64)
@@ -85,7 +112,7 @@ def dctn_block_energies(plane, w):
 
 
 class TestStripKernel:
-    """The strip-wise matmul transform against two independent references."""
+    """The block-row matmul transform against two independent references."""
 
     @pytest.mark.parametrize("w", [8, 16, 32, 64])
     @pytest.mark.parametrize("shape", ["strip_plus_one", "one_block"])
@@ -93,13 +120,14 @@ class TestStripKernel:
         if shape == "one_block":
             plane = rng.integers(0, 256, (w, w), dtype=np.uint8)
         else:
-            # one block row past a whole strip, and ragged edges in both directions
-            rows = (feat.STRIP_BLOCK_ROWS + 1) * w - 3
+            # nine block rows, and ragged edges in both directions
+            rows = 9 * w - 3
             plane = rng.integers(0, 1024, (rows, w + 5), dtype=np.uint16)
         fast = feat.block_texture_energies(plane, w)
         reference = dctn_block_energies(plane, w)
         np.testing.assert_allclose(fast, reference, rtol=1e-12)
-        padded = feat._pad_to_blocks(plane.astype(np.float64), w)
+        h, width = plane.shape
+        padded = np.pad(plane.astype(np.float64), ((0, -h % w), (0, -width % w)), mode="edge")
         naive = [naive_block_energy(padded[r:r + w, c:c + w])
                  for r in range(0, padded.shape[0], w) for c in range(0, padded.shape[1], w)]
         np.testing.assert_allclose(fast, naive, rtol=1e-9)
@@ -107,9 +135,9 @@ class TestStripKernel:
     @pytest.mark.parametrize("w", [8, 16, 32, 64])
     @pytest.mark.parametrize("level", [0, 1, 37, 128, 255, 1023])
     def test_flat_plane_is_exactly_zero(self, w, level):
-        plane = np.full(((feat.STRIP_BLOCK_ROWS + 2) * w + 1, 2 * w - 1), level, np.uint16)
+        plane = np.full((10 * w + 1, 2 * w - 1), level, np.uint16)
         energies = feat.block_texture_energies(plane, w)
-        assert energies.size == (feat.STRIP_BLOCK_ROWS + 3) * 2
+        assert energies.size == 11 * 2
         assert (energies == 0.0).all()
 
 
@@ -197,7 +225,7 @@ class TestSequence:
             assert a.frame_index == b.frame_index
 
     def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch):
-        """At most 2 * threads + 1 frames are pulled from the stream and not
+        """At most threads + 1 frames are pulled from the stream and not
         yet through extract_features, whatever the stream length."""
         threads, n = 2, 24
         lock = threading.Lock()
@@ -223,7 +251,7 @@ class TestSequence:
         monkeypatch.setattr(feat, "extract_features", slow_extract)
         rows = feat.extract_sequence(stream(), threads=threads)
         assert [r.frame_index for r in rows] == list(range(n))
-        assert max(held) <= 2 * threads + 1
+        assert max(held) <= threads + 1
 
 
 class TestCsv:

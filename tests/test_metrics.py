@@ -68,6 +68,16 @@ class TestBdRate:
         with pytest.raises(metrics.OverlapError, match="no PSNR overlap"):
             metrics.bd_rate(lo, hi)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("psnr", [float, np.float64])
+    def test_overflowing_rate_ratio_is_error(self, psnr):
+        """Rates 600 decades apart give a ratio no float holds, with either PSNR type."""
+        anchor = metrics.RdCurve.from_pairs([(k * 1e-300, psnr(30 + k)) for k in (1, 2, 4, 8)])
+        test = metrics.RdCurve.from_pairs([(k * 1e300, psnr(30 + k)) for k in (1, 2, 4, 8)])
+        with pytest.raises(ValueError, match="mean log10-rate offset of test over anchor is 600"):
+            metrics.bd_rate(anchor, test)
+        assert metrics.bd_rate(test, anchor) == -100.0
+
     def test_report_fields(self):
         report = metrics.bd_report(sim_curve(), sim_curve(scale=1.1))
         assert report["method"] == "pchip-log-rate"
