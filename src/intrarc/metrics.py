@@ -113,7 +113,7 @@ def _bd_rate_and_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float, 
             f"no PSNR overlap: anchor {anchor.psnr_range()}, test {test.psnr_range()}")
     ia = _log_rate_integral(anchor, "anchor", lo, hi)
     it = _log_rate_integral(test, "test", lo, hi)
-    offset = (it - ia) / float(hi - lo)  # a Python float overflows with an error, not a warning
+    offset = (it - ia) / float(hi - lo)  # a Python float: ** raises OverflowError, never warns
     try:
         rate = 100.0 * (10.0 ** offset - 1.0)
     except OverflowError:
