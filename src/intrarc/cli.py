@@ -110,15 +110,13 @@ def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
 
 def cmd_analyze(args) -> int:
     _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
-    _check_flag("--block-size", args.block_size, args.block_size in feat.BLOCK_SIZES,
-                "a power of two in [8, 64]")
     if _is_y4m(args.input):
         frames = video_io.open_y4m(args.input)
     else:
         if not args.raw_geometry:
             raise UsageError("headerless input requires --raw-geometry")
         frames = video_io.open_raw_yuv(args.input, _parse_raw_geometry(args.raw_geometry))
-    cfg = feat.AnalyzerConfig(block_size_luma=args.block_size)
+    cfg = feat.AnalyzerConfig()
     start = time.perf_counter()
     rows = feat.extract_sequence(frames, cfg, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -158,10 +156,14 @@ def cmd_train(args) -> int:
         n_test = max(1, int(round(args.holdout * len(y))))
         test_idx, train_idx = perm[:n_test], perm[n_test:]
         n_train = int(train_idx.size)
-        if n_train < hp.min_samples_split:
-            raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} rows "
-                             f"of {args.data}, leaving {n_train} to train on; training needs "
+    if n_train < hp.min_samples_split:
+        if args.holdout is None:
+            raise ValueError(f"{args.data} has {n_train} row to train on; training needs "
                              f"at least {hp.min_samples_split}")
+        raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} rows "
+                         f"of {args.data}, leaving {n_train} to train on; training needs "
+                         f"at least {hp.min_samples_split}")
+    if args.holdout is not None:
         ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
         if ss_tot == 0.0:
             raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="Y4M or headerless planar YUV file")
     p.add_argument("--raw-geometry", default=None,
                    help="WxH:BITDEPTH:CHROMA for headerless input, e.g. 1920x1080:8:420")
-    p.add_argument("--block-size", type=int, default=32, help="luma DCT block size")
     p.add_argument("--threads", type=int, default=cores)
     p.add_argument("--out", required=True, help="features CSV output path")
     p.set_defaults(func=cmd_analyze)

@@ -1,12 +1,13 @@
 """Per-frame spatial complexity features from block DCT energy.
 
-Each plane is split into non-overlapping blocks (edges padded by
-replication), every block gets an orthonormal 2-D DCT-II, and the
-absolute AC coefficients are summed with a radially increasing weight
-exp(sqrt((i/w)^2 + (j/w)^2)). The plane energy is that sum averaged
-over blocks and normalized by block area and the nominal sample scale,
-so values are comparable across resolutions and bit depths. The
-companion brightness feature is the plain normalized sample mean.
+Each plane is split into non-overlapping blocks, 32x32 for luma and
+16x16 for the 2x subsampled chroma (edges padded by replication), every
+block gets an orthonormal 2-D DCT-II, and the absolute AC coefficients
+are summed with a radially increasing weight exp(sqrt((i/w)^2 + (j/w)^2)).
+The plane energy is that sum averaged over blocks and normalized by
+block area and the nominal sample scale, so values are comparable across
+resolutions and bit depths. The companion brightness feature is the
+plain normalized sample mean.
 
 Sample scale is 255 * 2^(bit_depth - 8) rather than 2^bit_depth - 1 so
 that content scaled between bit depths maps to identical features.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -30,23 +31,12 @@ FEATURE_COLUMNS = {"frame_index": tables.INDEX, "e_y": tables.ENERGY, "l_y": tab
 # Chroma of a luma-only frame is reported as mid-grey with zero texture.
 NEUTRAL_CHROMA_LEVEL = 0.5
 
-# Luma DCT block sizes; chroma uses half the luma size, at least 8.
-BLOCK_SIZES = (8, 16, 32, 64)
-
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    block_size_luma: int = 32
-
-    def __post_init__(self):
-        size = self.block_size_luma
-        if size not in BLOCK_SIZES:
-            raise ValueError(f"block size {size} must be a power of two in [8, 64]")
-
-    @property
-    def block_size_chroma(self) -> int:
-        """Chroma planes are subsampled 2x, so their blocks are half the luma size."""
-        return max(8, self.block_size_luma // 2)
+    # Fixed DCT block sizes; the 2x subsampled chroma has half the luma size.
+    block_size_luma: ClassVar[int] = 32
+    block_size_chroma: ClassVar[int] = 16
 
 
 @dataclass(frozen=True)
@@ -155,23 +145,21 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
                      threads: int = 1) -> list[FrameFeatures]:
     """Extract features for a whole frame stream, ordered by frame index.
 
-    With threads > 1 at most threads + 1 frames are held: the oldest
-    result is awaited before the next frame is read, so memory stays
-    bounded by a few frames whatever the stream length.
+    `threads` workers analyse the frames, and at most threads + 1 frames
+    are held, for every thread count: the oldest result is awaited before
+    the next frame is read, so memory stays bounded by a few frames
+    whatever the stream length.
     """
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        result = []
-        pending = deque()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for frame in frames:
-                pending.append(pool.submit(extract_features, frame, cfg))
-                if len(pending) > threads:
-                    result.append(pending.popleft().result())
-            result.extend(f.result() for f in pending)
-    else:
-        result = [extract_features(f, cfg) for f in frames]
+    result = []
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for frame in frames:
+            pending.append(pool.submit(extract_features, frame, cfg))
+            if len(pending) > threads:
+                result.append(pending.popleft().result())
+        result.extend(f.result() for f in pending)
     if not result:
         raise ValueError("no frames in input stream")
     return result

@@ -21,11 +21,10 @@ level order, and the k-th split node's children are at slots 1 + 2k
 and 2 + 2k.
 
 Models serialize to a compact little-endian binary: magic "IRCF", a
-format version, the tree count, the training feature range, per tree
-the node count, the feature of every node and the value of every node
-(the threshold at a split node, the mean at a leaf), and a trailing
-CRC-32. The file holds only what prediction reads; how the forest was
-trained goes to the `train` manifest.
+format version, the tree count, per tree the node count, the feature of
+every node and the value of every node (the threshold at a split node,
+the mean at a leaf), and a trailing CRC-32. The file holds the trees and
+nothing else; how the forest was trained goes to the `train` manifest.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
 INPUT_NAMES = tuple(TRAINING_COLUMNS)[1:1 + N_FEATURES]
 
 _MAGIC = b"IRCF"
-_VERSION = 5
+_VERSION = 6
 _HEADER = struct.Struct("<4sII")   # magic, version, tree count
 
 
@@ -91,8 +90,6 @@ class Tree:
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    feature_min: np.ndarray
-    feature_max: np.ndarray
     # Per-input share of the training SSE reduction (all zero without a
     # split); set by training, not saved in the model file.
     importance: np.ndarray | None = None
@@ -290,19 +287,14 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
         boot = _tree_rng(hp.seed, t).integers(0, n, size=n)
         return _grow_tree(X[boot], ranks[:, boot], y[boot], hp.max_depth)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grown = list(pool.map(build, range(hp.n_estimators)))
-    else:
-        grown = [build(t) for t in range(hp.n_estimators)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        grown = list(pool.map(build, range(hp.n_estimators)))
     gains = np.sum([g for _, g in grown], axis=0)
     total = gains.sum()
     return ForestModel(
         trees=[tree for tree, _ in grown],
-        feature_min=X.min(axis=0),
-        feature_max=X.max(axis=0),
         importance=gains / total if total > 0.0 else gains,
     )
 
@@ -340,8 +332,6 @@ def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:
 def save(model: ForestModel, path: str) -> int:
     """Serialize a model; returns the file size in bytes."""
     chunks = [_HEADER.pack(_MAGIC, _VERSION, len(model.trees))]
-    chunks.append(model.feature_min.astype("<f8").tobytes())
-    chunks.append(model.feature_max.astype("<f8").tobytes())
     for tree in model.trees:
         chunks.append(struct.pack("<I", tree.n_nodes))
         chunks.append(tree.feature.astype("<i1").tobytes())
@@ -411,16 +401,12 @@ def load(path: str) -> ForestModel:
     if n_trees < 1:
         raise ModelFormatError(f"{path}: model has no trees")
     try:
-        fmin = rd.array("<f8", N_FEATURES)
-        fmax = rd.array("<f8", N_FEATURES)
-        if not (np.isfinite(fmin).all() and np.isfinite(fmax).all() and (fmin <= fmax).all()):
-            raise ModelFormatError("feature range is not finite with min <= max")
         trees = [_read_tree(rd) for _ in range(n_trees)]
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     if rd.pos != len(body):
         raise ModelFormatError(f"{path}: {len(body) - rd.pos} trailing bytes after the last tree")
-    return ForestModel(trees=trees, feature_min=fmin, feature_max=fmax)
+    return ForestModel(trees=trees)
 
 
 def write_training_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:

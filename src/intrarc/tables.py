@@ -18,7 +18,7 @@ class Column(NamedTuple):
     hi: float = math.inf
 
 
-INDEX = Column(int)                 # frame index
+INDEX = Column(int, 0)              # frame index
 QP = Column(int, 0, QP_MAX)
 BITS = Column(float, 1, 2**53)      # bits of a frame, or bits per second; 2**53 keeps sums exact
 ENERGY = Column(float, 0)           # DCT texture energy

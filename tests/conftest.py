@@ -29,10 +29,9 @@ def flat_frame(value=128, width=64, height=64, chroma="420", index=0):
     )
 
 
-# Model file layout: a 12-byte header (magic, version, tree count),
-# feature_min/max as 7 f8 each, the trees, then a CRC-32 of everything
-# before it.
-FIRST_TREE = 12 + 2 * 7 * 8
+# Model file layout: a 12-byte header (magic, version, tree count), the
+# trees, then a CRC-32 of everything before it.
+FIRST_TREE = 12
 
 
 def reseal(path, body):

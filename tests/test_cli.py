@@ -83,16 +83,107 @@ class TestAnalyze:
         by luck."""
         clip = tmp_path / "huge.y4m"
         clip.write_bytes(b"YUV4MPEG2 W65536 H65536 F30:1 Ip C420\nFRAME\n")
-        cap = 3 << 30
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "intrarc.cli", "analyze", "--input", str(clip),
-             "--out", str(tmp_path / "f.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = analyze_capped(["--input", clip, "--out", tmp_path / "f.csv"])
         assert proc.returncode == 3, proc.stderr
         assert "(0 of 6442450944 bytes)" in proc.stderr
+
+
+def analyze_capped(argv):
+    """`intrarc analyze` in a fresh interpreter whose address space is capped
+    at 3 GiB, so that an input which makes it allocate too much fails alone."""
+    cap = 3 << 30
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "intrarc.cli", "analyze", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+MAX_CLIP_BYTES = 64 * 1024 - 1
+SIDES = st.sampled_from([64, 66, 72, 128])   # frame sides that decode
+ANY_SIDE = st.integers(-1, 8192)
+
+
+def _payload(draw, size):
+    """`size` bytes: one repeated value (in range at 10 bits for small ones) or noise."""
+    seed = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        return bytes([seed]) * size
+    return np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
+def _size(draw, frame):
+    """A payload size near `frame` bytes: mostly one frame, else two, one byte
+    short or over, or any size."""
+    size = draw(st.sampled_from([frame] * 4 + [2 * frame, frame - 1, frame + 1, -1]))
+    return size if 0 <= size <= MAX_CLIP_BYTES else draw(st.integers(0, MAX_CLIP_BYTES))
+
+
+def _flawed(draw, fields: dict, flaws: dict) -> dict:
+    """`fields` as they are half the time, else with one replaced by one of its flaws."""
+    name = draw(st.sampled_from([None] * len(fields) + list(flaws)))
+    return fields if name is None else {**fields, name: draw(flaws[name])}
+
+
+@st.composite
+def y4m_clip(draw):
+    """Y4M bytes: header tokens valid or not, FRAME markers, short and long payloads."""
+    fields = _flawed(draw, {
+        "magic": "YUV4MPEG2", "W": draw(SIDES), "H": draw(SIDES), "F": "F30:1", "I": "Ip",
+        "C": draw(st.sampled_from(["C420", "C420jpeg", "Cmono"])),
+    }, {
+        "magic": st.sampled_from(["YUV4MPEG", "YUV4MPEG2X", ""]),
+        "W": st.one_of(ANY_SIDE, st.sampled_from(["", "0x40", "1e3"])),
+        "H": st.one_of(ANY_SIDE, st.sampled_from(["", "64.0"])),
+        "F": st.sampled_from(["", "F", "F0:1", "F30", "Fx:1", "F1:0", "F1:2:3"]),
+        "I": st.sampled_from(["", "It", "Ib"]),
+        "C": st.sampled_from(["", "C", "C422", "C444p10", "Cmono16"]),
+    })
+    magic, width, height, *rest = fields.values()
+    tokens = [magic, f"W{width}", f"H{height}", *rest, "A1:1", "XYSCSS=420", "\xff"]
+    data = " ".join(tokens).encode("latin-1") + b"\n"
+    if isinstance(width, int) and isinstance(height, int):
+        frame = width * height * (2 if fields["C"] == "Cmono" else 3) // 2
+    else:
+        frame = 0
+    for _ in range(draw(st.integers(0, 3))):
+        data += draw(st.sampled_from([b"FRAME\n"] * 3 + [b"FRAME Ixyz\n", b"FRAM\n", b""]))
+        data += _payload(draw, _size(draw, frame))
+    return data[:MAX_CLIP_BYTES], []
+
+
+@st.composite
+def raw_clip(draw):
+    """Headerless YUV bytes and the --raw-geometry flag, well formed or not."""
+    fields = _flawed(draw, {
+        "width": draw(SIDES), "height": draw(SIDES), "depth": draw(st.sampled_from([8, 10])),
+        "chroma": draw(st.sampled_from(["420", "400"])),
+    }, {
+        "width": ANY_SIDE, "height": ANY_SIDE, "depth": st.sampled_from([0, 9, 12, 16]),
+        "chroma": st.sampled_from(["422", "444", "mono", ""]),
+    })
+    width, height, depth, chroma = fields.values()
+    geometry = draw(st.sampled_from([f"{width}x{height}:{depth}:{chroma}"] * 3 + [None]))
+    if geometry is None:
+        geometry = draw(st.text(alphabet="0123456789x:-_ 420", max_size=16))
+    frame = width * height * (3 if chroma == "420" else 2) // 2 * (1 if depth == 8 else 2)
+    flags = draw(st.sampled_from([["--raw-geometry", geometry]] * 3 + [[]]))
+    return _payload(draw, _size(draw, frame)), flags
+
+
+class TestAnalyzeInputs:
+    @settings(max_examples=20, deadline=None)
+    @given(clip=st.one_of(y4m_clip(), raw_clip()), threads=st.integers(1, 4))
+    def test_any_clip_exits_with_a_documented_code(self, tmp_path_factory, clip, threads):
+        data, flags = clip
+        root = tmp_path_factory.mktemp("analyze_inputs")
+        (root / "clip").write_bytes(data)
+        proc = analyze_capped(["--input", root / "clip", *flags, "--threads", threads,
+                               "--out", root / "f.csv"])
+        assert proc.returncode in {0, 2, 3, 4}, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (root / "f.csv").exists() == (proc.returncode == 0)
 
 
 class TestTrain:
@@ -167,6 +258,16 @@ class TestTrain:
         assert "holdout R2 is undefined: the bits of the 1 held-out rows have zero variance" in (
             capsys.readouterr().err)
 
+    def test_one_row_table_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        forest.write_training_csv(str(path), *sim.generate_dataset(1, sim.SimParams(kappa=1.0),
+                                                                   seed=3))
+        out = tmp_path / "m.ircf"
+        assert run("train", "--data", path, "--trees", 2, "--out", out) == 3
+        assert f"{path} has 1 row to train on; training needs at least 2" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("holdout, n_test", [(0.96, 10), (0.9, 9)])
     def test_holdout_leaving_too_few_rows_is_usage_error(self, tmp_path, capsys,
                                                          holdout, n_test):
@@ -205,7 +306,7 @@ class TestPredict:
         assert len(lines) == 5
 
     @pytest.mark.parametrize("offset, value, message", [
-        (4, 4, "format version 4, expected 5"),  # a v4 file
+        (4, 5, "format version 5, expected 6"),  # a v5 file
         (8, 0, "model has no trees"),  # tree count 2 -> 0
         (FIRST_TREE + 4, 9, "feature outside [-1, 6]"),  # first node's feature
     ])
@@ -391,6 +492,19 @@ class TestRc:
                    "--bitrate", 1e6, "--resolution", "1920x1080",
                    "--trace", tmp_path / "t.csv") == 3
         assert "line 7 has frame_index 4, not above the previous 4" in capsys.readouterr().err
+
+    def test_negative_frame_index_is_data_error(self, tmp_path, capsys):
+        """The simulator keys its noise on the frame index, which must not be
+        negative; the features file is rejected as it is read."""
+        path = tmp_path / "features.csv"
+        feat.write_features_csv(str(path), sim.random_features(
+            5, np.random.default_rng(42), start_index=-3))
+        assert run("rc", "--features", path, "--first-pass", "noise", "--sim-noise", 0.1,
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--trace", tmp_path / "t.csv") == 3
+        assert f"{path}: line 2 has frame_index='-3', expected a finite int in [0, inf]" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_unknown_encoder_backend(self, tmp_path):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -820,8 +934,6 @@ class TestUsage:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--input", "{y4m}", "--block-size", 48, "--out", "{out}"],
-         "--block-size must be a power of two in [8, 64], got 48"),
         (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:8", "--out", "{out}"],
          "--raw-geometry '128x64:8' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
         (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:abc:420", "--out", "{out}"],
@@ -861,7 +973,7 @@ class TestUsage:
         ([*RC, "--resolution", "1921x1080"],
          "--resolution '1921x1080': 4:2:0 requires even width and height"),
         ([*RC, "--resolution", "1" * 400 + "x64"], "above 2^53 samples"),
-    ], ids=["block-size", "raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
+    ], ids=["raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
             "trees", "max-depth", "seed", "holdout", "qp", "rc-seed", "rc-sim-seed",
             "rc-sim-seed-noisy", "rc-sim-noise", "rc-bitrate-zero", "rc-budget-zero",
             "rc-budget-infinite", "rc-budget-above-2^53", "rc-budget-below-one-bit",
@@ -891,6 +1003,14 @@ class TestUsage:
             run("train", "--data", training_csv, flag, value, "--out", tmp_path / "m.ircf")
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_block_size_is_not_a_flag(self, tmp_path, y4m_file, capsys):
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as err:
+            run("analyze", "--input", y4m_file, "--block-size", 32, "--out", out)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --block-size" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--c-low", 2), ("--deficit-gain", 0.3), ("--first-pass-qp", 30),

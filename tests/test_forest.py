@@ -280,8 +280,7 @@ class TestPredict:
 
     def test_mean_of_trees(self):
         leaf = lambda v: forest.Tree(feature=np.array([-1], np.int8), value=np.array([v]))
-        model = forest.ForestModel(trees=[leaf(800.0), leaf(1200.0)],
-                                   feature_min=np.zeros(7), feature_max=np.ones(7))
+        model = forest.ForestModel(trees=[leaf(800.0), leaf(1200.0)])
         assert forest.predict(model, CONST_FEATURES, 30) == 1000.0
 
     def test_q_out_of_range(self):
@@ -351,9 +350,7 @@ class TestSerialization:
         loaded = forest.load(str(path))
         # The file holds what prediction reads; importance exists only after training.
         assert [f.name for f in dataclasses.fields(forest.ForestModel)] == [
-            "trees", "feature_min", "feature_max", "importance"]
-        for name in ("feature_min", "feature_max"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+            "trees", "importance"]
         assert len(loaded.trees) == len(model.trees)
         for want, got in zip(model.trees, loaded.trees):
             for f in dataclasses.fields(forest.Tree):
@@ -396,11 +393,11 @@ class TestSerialization:
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         body = bytearray(path.read_bytes()[:-4])
-        for version in (4, 99):  # the previous format, and one from the future
+        for version in (5, 99):  # the previous format, and one from the future
             body[4:8] = version.to_bytes(4, "little")
             reseal(path, body)
             with pytest.raises(forest.ModelFormatError,
-                               match=f"format version {version}, expected 5"):
+                               match=f"format version {version}, expected 6"):
                 forest.load(str(path))
 
     def test_zero_tree_count_rejected(self, tmp_path):
@@ -430,9 +427,6 @@ class TestSerialization:
         ("leaf", np.inf, "leaf value that is not a bit count"),
         ("leaf", 0.5, "leaf value that is not a bit count"),
         ("leaf", 2.0**53 + 2, "leaf value that is not a bit count"),
-        ("feature_min", np.nan, "feature range is not finite with min <= max"),
-        ("feature_max", np.inf, "feature range is not finite with min <= max"),
-        ("feature_min", 50.0, "feature range is not finite with min <= max"),  # q max is 40
     ])
     def test_value_training_cannot_write_rejected(self, tmp_path, field, bad, match):
         model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2,
@@ -440,10 +434,8 @@ class TestSerialization:
         tree = model.trees[1]
         if field == "threshold":
             tree.value[0] = bad
-        elif field == "leaf":
-            tree.value[-1] = bad
         else:
-            getattr(model, field)[6] = bad
+            tree.value[-1] = bad
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         with pytest.raises(forest.ModelFormatError, match=match) as err:
@@ -452,8 +444,7 @@ class TestSerialization:
 
     def test_bit_count_bounds_are_valid_leaves(self, tmp_path):
         leaf = lambda v: forest.Tree(feature=np.array([-1], np.int8), value=np.array([v]))
-        model = forest.ForestModel(trees=[leaf(1.0), leaf(2.0**53)],
-                                   feature_min=np.zeros(7), feature_max=np.zeros(7))
+        model = forest.ForestModel(trees=[leaf(1.0), leaf(2.0**53)])
         path = tmp_path / "m.ircf"
         forest.save(model, str(path))
         assert [t.value[0] for t in forest.load(str(path)).trees] == [1.0, 2.0**53]

@@ -43,6 +43,17 @@ def test_field_that_is_not_a_number_names_file_and_line(tmp_path, name, text):
 
 
 @pytest.mark.parametrize("name", READERS)
+def test_first_column_below_its_range_names_file_and_line(tmp_path, name):
+    """-1 is below every first column: a frame index is >= 0, a bitrate >= 1."""
+    reader, header, row = READERS[name]
+    bad = ",".join(["-1", *row.split(",")[1:]])
+    path = _write(tmp_path, header, [row, bad])
+    first = header.split(",")[0]
+    with pytest.raises(ValueError, match=rf"{path}: line 3 has {first}='-1', expected .* \[[01],"):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", READERS)
 def test_field_over_the_csv_size_limit_names_line(tmp_path, name):
     reader, header, row = READERS[name]
     path = _write(tmp_path, header, [row, "1" * (csv.field_size_limit() + 1)])
