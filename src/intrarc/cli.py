@@ -81,7 +81,7 @@ def _flag_values(flags: str):
     """A value that the class built from `flags` rejects is a usage error naming them."""
     try:
         yield
-    except (ValueError, video_io.VideoFormatError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{flags}: {exc}") from None
 
 
@@ -118,7 +118,8 @@ def cmd_analyze(args) -> int:
         frames = video_io.open_raw_yuv(args.input, _parse_raw_geometry(args.raw_geometry))
     cfg = feat.AnalyzerConfig()
     start = time.perf_counter()
-    rows = feat.extract_sequence(frames, cfg, threads=args.threads)
+    with tables.naming(args.input):   # extract_sequence raises "no frames in input stream"
+        rows = feat.extract_sequence(frames, cfg, threads=args.threads)
     elapsed = time.perf_counter() - start
     feat.write_features_csv(args.out, rows)
     _write_manifest(
@@ -148,39 +149,34 @@ def cmd_train(args) -> int:
     X, y = forest.read_training_csv(args.data)
     hp = forest.ForestHyperparams(n_estimators=args.trees, max_depth=args.max_depth,
                                   seed=args.seed)
+    train = slice(None)   # without --holdout every row trains: a view, not a copy of X
     holdout_stats = None
-    n_train = len(y)
     if args.holdout is not None:
-        rng = np.random.default_rng(args.seed)
-        perm = rng.permutation(len(y))
+        perm = np.random.default_rng(args.seed).permutation(len(y))
         n_test = max(1, int(round(args.holdout * len(y))))
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
-        n_train = int(train_idx.size)
-    if n_train < hp.min_samples_split:
-        if args.holdout is None:
-            raise ValueError(f"{args.data} has {n_train} row to train on; training needs "
-                             f"at least {hp.min_samples_split}")
-        raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} rows "
-                         f"of {args.data}, leaving {n_train} to train on; training needs "
-                         f"at least {hp.min_samples_split}")
-    if args.holdout is not None:
-        ss_tot = float(np.sum((y[test_idx] - y[test_idx].mean()) ** 2))
+        test, train = perm[:n_test], perm[n_test:]
+        if train.size < hp.min_samples_split:
+            raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} "
+                             f"rows of {args.data}, leaving {train.size} to train on; training "
+                             f"needs at least {hp.min_samples_split}")
+        ss_tot = float(np.sum((y[test] - y[test].mean()) ** 2))
         if ss_tot == 0.0:
             raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
                              "rows have zero variance; hold out more rows")
-        model = forest.train_arrays(X[train_idx], y[train_idx], hp, threads=args.threads)
-        pred = forest.predict_batch(model, X[test_idx])
-        resid = y[test_idx] - pred
-        ss_res = float(np.sum(resid**2))
+    elif len(y) < hp.min_samples_split:
+        raise ValueError(f"{args.data} has {len(y)} row to train on; training needs "
+                         f"at least {hp.min_samples_split}")
+    n_train = len(y[train])
+    model = forest.train_arrays(X[train], y[train], hp, threads=args.threads)
+    if args.holdout is not None:
+        resid = y[test] - forest.predict_batch(model, X[test])
         holdout_stats = {
             "fraction": args.holdout,
             "n_train": n_train,
-            "n_test": int(test_idx.size),
-            "r2": 1.0 - ss_res / ss_tot,
+            "n_test": n_test,
+            "r2": 1.0 - float(np.sum(resid**2)) / ss_tot,
             "mae": float(np.mean(np.abs(resid))),
         }
-    else:
-        model = forest.train_arrays(X, y, hp, threads=args.threads)
     size = forest.save(model, args.out)
     _write_manifest(
         args.out, "train",
@@ -221,20 +217,22 @@ def cmd_predict(args) -> int:
 def _log_encoder(path: str, frame_indices: set[int]):
     """Encoder backed by an external per-(frame, q) bits table."""
     table: dict[tuple[int, int], float] = {}
-    for line, (frame, q, bits) in tables.read(path, LOG_COLUMNS):
-        if (frame, q) in table:
-            raise ValueError(f"{path}: line {line} repeats frame {frame} at q={q}")
-        table[frame, q] = bits
-    logged_frames = {f for f, _ in table}
-    if logged_frames != frame_indices:
-        odd = min(logged_frames ^ frame_indices)
-        side = "log" if odd in logged_frames else "features"
-        raise ValueError(f"{path}: frame {odd} appears only in the {side}")
+    with tables.naming(path):
+        for line, (frame, q, bits) in tables.read(path, LOG_COLUMNS):
+            if (frame, q) in table:
+                raise ValueError(f"line {line} repeats frame {frame} at q={q}")
+            table[frame, q] = bits
+        logged_frames = {f for f, _ in table}
+        if logged_frames != frame_indices:
+            odd = min(logged_frames ^ frame_indices)
+            side = "log" if odd in logged_frames else "features"
+            raise ValueError(f"frame {odd} appears only in the {side}")
 
     def encode(decision) -> float:
         key = (decision.frame_index, decision.q_prime_p)
         if key not in table:
-            raise KeyError(f"no log entry for frame {key[0]} at q={key[1]}")
+            with tables.naming(path):
+                raise ValueError(f"no log entry for frame {key[0]} at q={key[1]}")
         return table[key]
 
     return encode
@@ -379,8 +377,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (video_io.VideoFormatError, forest.ModelFormatError,
-            rc.EncoderError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

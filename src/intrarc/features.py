@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar, Iterable
 
 import numpy as np
@@ -55,29 +56,21 @@ class FrameFeatures:
         return np.array([self.e_y, self.l_y, self.e_u, self.l_u, self.e_v, self.l_v])
 
 
-_WEIGHTS: dict[int, np.ndarray] = {}
-_DCT: dict[int, np.ndarray] = {}
-
-
+@cache
 def _ac_weights(w: int) -> np.ndarray:
-    cached = _WEIGHTS.get(w)
-    if cached is None:
-        i = np.arange(w, dtype=np.float64) / w
-        cached = np.exp(np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
-        cached[0, 0] = 0.0  # DC excluded
-        _WEIGHTS[w] = cached
-    return cached
+    i = np.arange(w, dtype=np.float64) / w
+    weights = np.exp(np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
+    weights[0, 0] = 0.0  # DC excluded
+    return weights
 
 
+@cache
 def _dct_matrix(w: int) -> np.ndarray:
     """Orthonormal DCT-II matrix C, so that C @ block @ C.T is the 2-D transform."""
-    cached = _DCT.get(w)
-    if cached is None:
-        n = np.arange(w)
-        cached = math.sqrt(2.0 / w) * np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / (2 * w))
-        cached[0] *= math.sqrt(0.5)
-        _DCT[w] = cached
-    return cached
+    n = np.arange(w)
+    c = math.sqrt(2.0 / w) * np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / (2 * w))
+    c[0] *= math.sqrt(0.5)
+    return c
 
 
 def block_texture_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
@@ -172,9 +165,10 @@ def write_features_csv(path: str, rows: Iterable[FrameFeatures]) -> None:
 def read_features_csv(path: str) -> list[FrameFeatures]:
     """Rows of the features table, with strictly increasing frame indices."""
     rows = []
-    for line, (idx, *values) in tables.read(path, FEATURE_COLUMNS):
-        if rows and idx <= rows[-1].frame_index:
-            raise ValueError(f"{path}: line {line} has frame_index {idx}, "
-                             f"not above the previous {rows[-1].frame_index}")
-        rows.append(FrameFeatures(*values, frame_index=idx))
+    with tables.naming(path):
+        for line, (idx, *values) in tables.read(path, FEATURE_COLUMNS):
+            if rows and idx <= rows[-1].frame_index:
+                raise ValueError(f"line {line} has frame_index {idx}, "
+                                 f"not above the previous {rows[-1].frame_index}")
+            rows.append(FrameFeatures(*values, frame_index=idx))
     return rows

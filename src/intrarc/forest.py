@@ -49,7 +49,7 @@ _VERSION = 6
 _HEADER = struct.Struct("<4sII")   # magic, version, tree count
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(ValueError):
     """Unreadable or corrupt serialized model."""
 
 
@@ -385,27 +385,24 @@ def _read_tree(rd: _Reader) -> Tree:
 def load(path: str) -> ForestModel:
     """Read a model back; verifies magic, version, checksum, tree structure
     and that every value is one training can write."""
-    with open(path, "rb") as fh:
+    with tables.naming(path), open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    if len(blob) < _HEADER.size + 4:
-        raise ModelFormatError(f"{path}: truncated model file")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
-    rd = _Reader(body)
-    magic, version, n_trees = _HEADER.unpack(rd.take(_HEADER.size))
-    if version != _VERSION:
-        raise ModelFormatError(f"{path}: format version {version}, expected {_VERSION}")
-    if n_trees < 1:
-        raise ModelFormatError(f"{path}: model has no trees")
-    try:
+        if len(blob) < 8 or blob[:4] != _MAGIC:
+            raise ModelFormatError("not a model file (bad magic)")
+        if len(blob) < _HEADER.size + 4:
+            raise ModelFormatError("truncated model file")
+        body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+        if zlib.crc32(body) != crc:
+            raise ModelFormatError("checksum mismatch, file is corrupt")
+        rd = _Reader(body)
+        magic, version, n_trees = _HEADER.unpack(rd.take(_HEADER.size))
+        if version != _VERSION:
+            raise ModelFormatError(f"format version {version}, expected {_VERSION}")
+        if n_trees < 1:
+            raise ModelFormatError("model has no trees")
         trees = [_read_tree(rd) for _ in range(n_trees)]
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
-    if rd.pos != len(body):
-        raise ModelFormatError(f"{path}: {len(body) - rd.pos} trailing bytes after the last tree")
+        if rd.pos != len(body):
+            raise ModelFormatError(f"{len(body) - rd.pos} trailing bytes after the last tree")
     return ForestModel(trees=trees)
 
 

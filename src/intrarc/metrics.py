@@ -143,4 +143,5 @@ def write_rd_csv(path: str, curve: RdCurve) -> None:
 
 
 def read_rd_csv(path: str) -> RdCurve:
-    return RdCurve.from_pairs(values for _, values in tables.read(path, RD_COLUMNS))
+    with tables.naming(path):
+        return RdCurve.from_pairs(values for _, values in tables.read(path, RD_COLUMNS))

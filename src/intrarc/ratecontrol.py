@@ -34,7 +34,7 @@ _C_HIGH_LO = (854 * 480, 0.25)
 _C_HIGH_HI = (3840 * 2160, 0.5)
 
 
-class EncoderError(Exception):
+class EncoderError(ValueError):
     """Encoder backend failed."""
 
 
@@ -96,10 +96,6 @@ class FrameDecision:
     deficit: float | None = None   # running deficit after this frame's spend
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
-
-
 def c_high_for(resolution: VideoGeometry) -> float:
     """High-rate correction weight for a resolution, in [0.25, 0.5]."""
     lo_area, lo_c = _C_HIGH_LO
@@ -157,7 +153,8 @@ def map_qp(record: FirstPassRecord, b_prime: float, cfg: RcConfig) -> tuple[floa
         b_prime / record.b_hat_p
     )
     corrected = q_bar + c_high_for(cfg.resolution) * max(0.0, cfg.q_start - q_bar)
-    q_prime = min(tables.QP_MAX, max(0, _round_half_away(corrected)))
+    # Halves round up; below 0, where that differs from away from zero, the clamp gives 0.
+    q_prime = min(tables.QP_MAX, max(0, math.floor(corrected + 0.5)))
     return q_bar, q_prime
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from typing import Iterable, NamedTuple, Sequence
 
 QP_MAX = 63   # quantization parameters run 0..QP_MAX
@@ -37,14 +38,25 @@ def write(path: str, columns: dict[str, Column], rows: Iterable[Sequence]) -> No
         writer.writerows(format_row(columns, row) for row in rows)
 
 
-def _parse(path: str, line: int, name: str, col: Column, text: str):
+@contextmanager
+def naming(path: str):
+    """Name `path` in data errors: a ValueError raised inside gets "{path}: " once, type kept."""
+    try:
+        yield
+    except ValueError as exc:
+        if not str(exc).startswith(f"{path}: "):
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse(line: int, name: str, col: Column, text: str):
     try:
         value = col.kind(text)
         if col.lo <= value <= col.hi and value - value == 0:   # x - x is 0 only for finite x
             return value
     except ValueError:
         pass
-    raise ValueError(f"{path}: line {line} has {name}={text!r}, "
+    raise ValueError(f"line {line} has {name}={text!r}, "
                      f"expected a finite {col.kind.__name__} in [{col.lo:.16g}, {col.hi:.16g}]")
 
 
@@ -52,22 +64,22 @@ def read(path: str, columns: dict[str, Column]) -> list[tuple[int, list]]:
     """Every row as (line number, values) after the exact header; no rows, a
     value outside its column or malformed CSV raise ValueError naming the line."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(columns):
-                raise ValueError(f"{path}: expected header {','.join(columns)}")
+                raise ValueError(f"expected header {','.join(columns)}")
             for rec in reader:
                 line = reader.line_num
                 if len(rec) != len(columns):
-                    raise ValueError(f"{path}: line {line} has {len(rec)} fields, "
+                    raise ValueError(f"line {line} has {len(rec)} fields, "
                                      f"expected {len(columns)}")
-                rows.append((line, [_parse(path, line, name, col, text)
+                rows.append((line, [_parse(line, name, col, text)
                                     for (name, col), text in zip(columns.items(), rec)]))
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+            raise ValueError(str(exc)) from None
+        if not rows:
+            raise ValueError("no data rows")
     return rows

@@ -14,8 +14,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from intrarc import tables
 
-class VideoFormatError(Exception):
+
+class VideoFormatError(ValueError):
     """Malformed or unsupported video input."""
 
 
@@ -118,9 +120,9 @@ def _split_planes(payload: bytes, geometry: VideoGeometry, index: int) -> Planar
     return PlanarFrame(geometry=geometry, y_plane=y, u_plane=u, v_plane=v, index=index)
 
 
-def _parse_y4m_header(line: bytes, path: str) -> VideoGeometry:
+def _parse_y4m_header(line: bytes) -> VideoGeometry:
     if not line.startswith(_Y4M_MAGIC):
-        raise VideoFormatError(f"{path}: missing YUV4MPEG2 signature")
+        raise VideoFormatError("missing YUV4MPEG2 signature")
     width = height = fps_num = fps_den = None
     chroma = "420"
     for token in line.decode("ascii", "replace").split()[1:]:
@@ -135,16 +137,18 @@ def _parse_y4m_header(line: bytes, path: str) -> VideoGeometry:
                 fps_num, fps_den = int(num), int(den)
             elif key == "I":
                 if val != "p":
-                    raise VideoFormatError(f"{path}: interlaced input (I{val}) not supported")
+                    raise VideoFormatError(f"interlaced input (I{val}) not supported")
             elif key == "C":
                 if val not in _CHROMA_TAGS:
-                    raise VideoFormatError(f"{path}: unsupported chroma tag C{val}")
+                    raise VideoFormatError(f"unsupported chroma tag C{val}")
                 chroma = _CHROMA_TAGS[val]
             # A (aspect) and X (extension) tokens carry nothing we use.
+        except VideoFormatError:
+            raise
         except ValueError as exc:
-            raise VideoFormatError(f"{path}: malformed header token {token!r}") from exc
+            raise VideoFormatError(f"malformed header token {token!r}") from exc
     if width is None or height is None or fps_num is None:
-        raise VideoFormatError(f"{path}: header must carry W, H and F tokens")
+        raise VideoFormatError("header must carry W, H and F tokens")
     return VideoGeometry(
         width=width, height=height, bit_depth=8, chroma_format=chroma,
         fps_num=fps_num, fps_den=fps_den,
@@ -158,8 +162,8 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
     is a valid zero-frame sequence. Truncated payloads report the index
     of the offending frame.
     """
-    with open(path, "rb") as fh:
-        geometry = _parse_y4m_header(fh.readline().rstrip(b"\n"), path)
+    with tables.naming(path), open(path, "rb") as fh:
+        geometry = _parse_y4m_header(fh.readline().rstrip(b"\n"))
         nbytes = geometry.frame_bytes()
         size = os.fstat(fh.fileno()).st_size
         index = 0
@@ -168,14 +172,13 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
             if marker == b"":
                 return
             if not marker.startswith(b"FRAME"):
-                raise VideoFormatError(f"{path}: bad FRAME marker before frame {index}")
+                raise VideoFormatError(f"bad FRAME marker before frame {index}")
             # Checked before the read, which would allocate the whole frame
             # that the header declares, however large.
             left = size - fh.tell()
             if left < nbytes:
-                raise VideoFormatError(
-                    f"{path}: truncated payload in frame {index} ({left} of {nbytes} bytes)"
-                )
+                raise VideoFormatError(f"truncated payload in frame {index} "
+                                       f"({left} of {nbytes} bytes)")
             yield _split_planes(fh.read(nbytes), geometry, index)
             index += 1
 
@@ -183,12 +186,11 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
 def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[PlanarFrame]:
     """Yield frames of a headerless planar YUV file with known geometry."""
     nbytes = geometry.frame_bytes()
-    total = os.path.getsize(path)
-    if total % nbytes:
-        raise VideoFormatError(
-            f"{path}: size {total} is not a multiple of the frame byte size {nbytes}"
-        )
-    with open(path, "rb") as fh:
+    with tables.naming(path), open(path, "rb") as fh:
+        total = os.fstat(fh.fileno()).st_size
+        if total % nbytes:
+            raise VideoFormatError(f"size {total} is not a multiple of the frame "
+                                   f"byte size {nbytes}")
         for index in range(total // nbytes):
             yield _split_planes(fh.read(nbytes), geometry, index)
 

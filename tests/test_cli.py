@@ -183,6 +183,8 @@ class TestAnalyzeInputs:
                                "--out", root / "f.csv"])
         assert proc.returncode in {0, 2, 3, 4}, proc.stderr
         assert "Traceback" not in proc.stderr
+        if proc.returncode == 3:
+            assert proc.stderr.startswith(f"error: {root / 'clip'}: "), proc.stderr
         assert (root / "f.csv").exists() == (proc.returncode == 0)
 
 
@@ -842,6 +844,54 @@ class TestCsvInputs:
     def test_any_input_exits_with_a_documented_code(self, cli_inputs, name, data):
         table = data.draw(table_bytes(CSV_INPUTS[name][0]))
         assert run_on_csv(cli_inputs, name, table) in {0, 2, 3, 4}
+
+
+class TestDataErrorsNameTheFile:
+    """A data error raised below the reader of an input still starts with its path."""
+
+    @pytest.mark.parametrize("data, flags, message", [
+        pytest.param(b"YUV4MPEG2 W66 H65 F30:1 Ip C420\n", [],
+                     "4:2:0 requires even width and height", id="y4m odd height"),
+        pytest.param(b"YUV4MPEG2 W32 H32 F30:1 Ip C420\n", [],
+                     "frame size 32x32 below 64x64 minimum", id="y4m small frame"),
+        pytest.param(b"YUV4MPEG2 W64 H64 F0:1 Ip C420\n", [],
+                     "frame rate must be positive", id="y4m zero frame rate"),
+        pytest.param(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\n", [],
+                     "no frames in input stream", id="y4m header only"),
+        pytest.param(b"", ["--raw-geometry", "64x64:8:420"],
+                     "no frames in input stream", id="empty raw"),
+        pytest.param(np.full(6144, 1024, "<u2").tobytes(), ["--raw-geometry", "64x64:10:420"],
+                     "frame 0: sample outside [0, 1023]", id="raw 10-bit sample 1024"),
+    ])
+    def test_analyze(self, tmp_path, capsys, data, flags, message):
+        clip = tmp_path / "clip"
+        clip.write_bytes(data)
+        assert run("analyze", "--input", clip, *flags, "--out", tmp_path / "f.csv") == 3
+        assert capsys.readouterr().err == f"error: {clip}: {message}\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param("1000,30\n2000,33\n4000,36\n",
+                     "an RD curve needs >= 4 points, got 3", id="three points"),
+        pytest.param("1000,30\n2000,36\n4000,33\n8000,39\n",
+                     "psnr must be non-decreasing with bitrate", id="psnr falls"),
+    ])
+    def test_bdrate(self, tmp_path, capsys, rows, message):
+        anchor, _ = _write_curves(tmp_path, 1.0)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("bitrate,psnr_yuv\n" + rows)
+        assert run("bdrate", "--anchor", anchor, "--test", bad) == 3
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_rc_log_without_the_chosen_q(self, tmp_path, capsys):
+        feats_path, feats = _features_csv(tmp_path, n=5)
+        log = tmp_path / "log.csv"
+        log.write_text("frame_index,q,bits\n" + "".join(f"{f.frame_index},0,1000\n"
+                                                         for f in feats))
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e6, "--resolution", "1920x1080",
+                   "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
+        assert capsys.readouterr().err == (
+            f"error: encoder failed at frame 0: {log}: no log entry for frame 0 at q=33\n")
 
 
 # Runs a small chain in a fresh interpreter and prints, per subcommand,

@@ -79,3 +79,10 @@ def test_non_utf8_bytes_name_file(tmp_path):
     path.write_bytes(b"frame_index,e_y,l_y,e_u,l_u,e_v,l_v\n0,\xff,1,1,1,1,1\n")
     with pytest.raises(ValueError, match=f"{path}: .*can't decode"):
         feat.read_features_csv(str(path))
+
+
+def test_naming_prefixes_the_path_once_and_keeps_the_type():
+    with pytest.raises(metrics.OverlapError) as info:
+        with tables.naming("a.csv"), tables.naming("a.csv"):
+            raise metrics.OverlapError("no PSNR overlap")
+    assert str(info.value) == "a.csv: no PSNR overlap"
