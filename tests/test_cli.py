@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -767,6 +769,110 @@ class TestBdrate:
             assert run("bdrate", "--anchor", anchor, "--test", test) == 3
         assert message in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """One valid input file of each kind that train, predict and bdrate read."""
+    root = tmp_path_factory.mktemp("flags")
+    X, y = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
+    forest.write_training_csv(str(root / "train.csv"), X, y)
+    forest.save(forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=2, max_depth=3)),
+                str(root / "m.ircf"))
+    feat.write_features_csv(str(root / "features.csv"),
+                            sim.random_features(5, np.random.default_rng(1)))
+    _write_curves(root, 1.1)
+    return root
+
+
+INPUT_FILES = ["anchor.csv", "features.csv", "m.ircf", "test.csv", "train.csv"]
+
+
+def _other_input(name):
+    """Another kind of input, a missing file or a directory in place of `name`."""
+    return st.sampled_from([f for f in INPUT_FILES if f != name] + ["missing.csv", "."])
+
+
+def _capped_int(top):
+    """An integer no larger than `top`, or text that is no integer."""
+    return st.one_of(st.integers(max_value=top).map(str), st.floats().map(repr),
+                     st.text(alphabet="x.e+-_ ", max_size=6))
+
+
+BAD_OUT = st.sampled_from([".", "missing/out"])
+PATH_FLAGS = {"--data", "--model", "--features", "--anchor", "--test", "--out"}
+
+
+@st.composite
+def flag_argv(draw):
+    """A train, predict or bdrate command line, valid half the time, else with
+    one flag omitted or given a bad value. Paths are relative to the inputs.
+
+    --trees and --max-depth take no integer above 4 and 10**5, so that no
+    valid draw trains for long, and --threads stays within 1-4.
+    """
+    command = draw(st.sampled_from(["train", "predict", "bdrate"]))
+    if command == "train":
+        fields = _flawed(draw, {
+            "--data": "train.csv", "--trees": draw(st.integers(1, 4)),
+            "--max-depth": draw(st.integers(1, 10**5)), "--seed": draw(st.integers(0, 2**64)),
+            "--holdout": draw(st.none() | st.floats(0, 1, exclude_min=True, exclude_max=True)),
+            "--threads": draw(st.integers(1, 4)), "--out": "out",
+        }, {
+            "--data": _other_input("train.csv"), "--trees": _capped_int(4),
+            "--max-depth": _capped_int(10**5), "--seed": st.none() | FLAG_VALUES,
+            "--holdout": FLAG_VALUES, "--out": st.none() | BAD_OUT,
+        })
+    elif command == "predict":
+        fields = _flawed(draw, {
+            "--model": "m.ircf", "--features": "features.csv", "--qp": draw(st.integers(0, 63)),
+            "--out": draw(st.sampled_from(["out", None])),
+        }, {
+            "--model": _other_input("m.ircf"), "--features": _other_input("features.csv"),
+            "--qp": st.none() | FLAG_VALUES, "--out": BAD_OUT,
+        })
+    else:
+        fields = _flawed(draw, {
+            "--anchor": "anchor.csv", "--test": "test.csv",
+            "--out": draw(st.sampled_from(["out", None])),
+        }, {
+            "--anchor": _other_input("anchor.csv"), "--test": _other_input("test.csv"),
+            "--out": BAD_OUT,
+        })
+    return command, fields
+
+
+class TestTrainPredictBdrateFlags:
+    @settings(max_examples=150, deadline=None)
+    @given(case=flag_argv())
+    def test_any_flag_values_exit_with_a_documented_code(self, flag_inputs, case):
+        command, fields = case
+        argv = [command] + [f"{flag}={flag_inputs / value if flag in PATH_FLAGS else value}"
+                            for flag, value in fields.items() if value is not None]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse rejects a missing or unparsable flag
+                code = exc.code
+        assert code in {0, 2, 3, 4}, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param("train --data={root}/train.csv --trees=2 --max-depth=100000 --threads=1 "
+                     "--out={root}/out", 0, id="train deep"),
+        pytest.param("train --data={root}/train.csv --trees=2 --holdout=1e-9 --threads=1 "
+                     "--out={root}/out", 3, id="train one held-out row"),
+        pytest.param("train --data={root}/train.csv --trees=2 --threads=1 --out={root}", 4,
+                     id="train out is a directory"),
+        pytest.param("predict --model={root}/m.ircf --features={root}/features.csv "
+                     f"--qp={10**30}", 2, id="predict huge qp"),
+        pytest.param("bdrate --anchor={root}/anchor.csv --test={root}/test.csv "
+                     "--out={root}/missing/out", 4, id="bdrate out in a missing directory"),
+    ])
+    def test_edge_values(self, flag_inputs, capsys, argv, code):
+        assert run(*argv.format(root=flag_inputs).split()) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 FEATURES_HEADER = "frame_index,e_y,l_y,e_u,l_u,e_v,l_v"

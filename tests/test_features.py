@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from intrarc import features as feat
 from intrarc.video_io import PlanarFrame, VideoGeometry
 
+import reference_features as ref
 from conftest import flat_frame, make_frame
 
 
@@ -139,6 +140,68 @@ class TestStripKernel:
         energies = feat.block_texture_energies(plane, w)
         assert energies.size == 11 * 2
         assert (energies == 0.0).all()
+
+
+@st.composite
+def kernel_plane(draw):
+    """A ragged uint8 or 10-bit uint16 plane: noise, a gradient, flat, or flat per block."""
+    w = draw(st.sampled_from([16, 32]), label="w")
+    h = draw(st.integers(1, 3 * w + 1), label="rows")
+    width = draw(st.integers(1, 3 * w + 1), label="columns")
+    dtype, top = draw(st.sampled_from([(np.uint8, 256), (np.uint16, 1024)]))
+    kind = draw(st.sampled_from(["noise", "gradient", "flat", "flat blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "noise":
+        plane = rng.integers(0, top, (h, width))
+    elif kind == "gradient":
+        dy, dx = rng.integers(-9, 10, 2)
+        plane = (np.add.outer(dy * np.arange(h), dx * np.arange(width)) + rng.integers(top)) % top
+    elif kind == "flat":
+        plane = np.full((h, width), rng.integers(top))
+    else:
+        levels = rng.integers(0, top, (-(-h // w), -(-width // w)))
+        plane = np.kron(levels, np.ones((w, w), int))[:h, :width]
+    return w, kind, plane.astype(dtype)
+
+
+class TestReferenceKernel:
+    """The kernel against the one it replaced (tests/reference_features.py).
+
+    Only the summation order differs (a matrix-vector product instead of an
+    elementwise weighting and a two-axis sum, and a contiguous C.T instead
+    of a transposed view), so every energy matches to within rounding and
+    every flat block is still exactly zero.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_plane())
+    def test_matches_the_reference_kernel(self, case):
+        w, kind, plane = case
+        fast = feat.block_texture_energies(plane, w)
+        reference = ref.block_texture_energies(plane, w)
+        assert fast.shape == reference.shape
+        assert np.array_equal(fast == 0.0, reference == 0.0)
+        if kind.startswith("flat"):
+            assert (fast == 0.0).all()
+        nonzero = reference != 0.0
+        assert (np.abs(fast - reference)[nonzero] <= 1e-13 * reference[nonzero]).all()
+        scale = 255.0 * (4.0 if plane.dtype == np.uint16 else 1.0)
+        energy = feat.plane_energy(plane, w, scale)
+        expected = ref.plane_energy(plane, w, scale)
+        assert abs(energy - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("w", [16, 32])
+    def test_cached_arrays_are_read_only(self, w):
+        """Every analysis thread shares them, so a write would corrupt later features."""
+        c, ct = feat._dct_matrix(w)
+        weights = feat._ac_weights(w)
+        assert np.array_equal(ct, c.T) and ct.flags.c_contiguous
+        assert weights.shape == (w * w,) and weights[0] == 0.0
+        for array in (c, ct, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
 
 
 class TestExtractFeatures:
