@@ -105,8 +105,8 @@ def block_texture_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
 
     Those products sum in another order than an elementwise weighting
     and a two-axis sum, so a block's energy may differ from that form
-    in the last bits (about 1e-14 relative); features rounded to the
-    CSV's 9 significant digits do not change.
+    in the last bits (about 1e-14 relative), far below the 9 significant
+    digits that the features CSV keeps.
     """
     w = block_size
     plane = np.asarray(plane)
