@@ -6,6 +6,10 @@ configuration and seeds, so a run can be reproduced exactly. All
 randomness flows from explicit --seed flags.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 I/O error.
+
+Each subcommand imports the modules it runs inside its own function, so
+a call pays only for what it uses: `analyze` never loads the forest,
+and `--version` loads none of them.
 """
 
 from __future__ import annotations
@@ -16,18 +20,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from intrarc import __version__
-from intrarc import features as feat
-from intrarc import forest
-from intrarc import metrics
-from intrarc import ratecontrol as rc
-from intrarc import simulator as sim
 from intrarc import tables
-from intrarc import video_io
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,6 +84,8 @@ def _flag_values(flags: str):
 
 def _parse_raw_geometry(text: str) -> video_io.VideoGeometry:
     """WIDTHxHEIGHT:BITDEPTH:CHROMA, e.g. 1920x1080:8:420."""
+    from intrarc import video_io
+
     try:
         dims, bits, chroma = text.split(":")
         w, h = dims.lower().split("x")
@@ -109,6 +108,9 @@ def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from intrarc import features as feat
+    from intrarc import video_io
+
     _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
     if _is_y4m(args.input):
         frames = video_io.open_y4m(args.input)
@@ -140,6 +142,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from intrarc import forest
+
     _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
     _check_flag("--trees", args.trees, args.trees >= 1, "at least 1")
     _check_flag("--max-depth", args.max_depth, args.max_depth >= 1, "at least 1")
@@ -198,6 +202,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from intrarc import features as feat
+    from intrarc import forest
+
     _check_flag("--qp", args.qp, 0 <= args.qp <= tables.QP_MAX, f"in [0, {tables.QP_MAX}]")
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
@@ -239,6 +246,14 @@ def _log_encoder(path: str, frame_indices: set[int]):
 
 
 def cmd_rc(args) -> int:
+    from dataclasses import replace
+
+    from intrarc import features as feat
+    from intrarc import forest
+    from intrarc import ratecontrol as rc
+    from intrarc import simulator as sim
+    from intrarc import video_io
+
     _check_flag("--seed", args.seed, args.seed >= 0, "at least 0")
     fps_num, fps_den = _parse_fps(args.fps)
     width, height = _parse_resolution(args.resolution)
@@ -294,6 +309,8 @@ def cmd_rc(args) -> int:
 
 
 def cmd_bdrate(args) -> int:
+    from intrarc import metrics
+
     anchor = metrics.read_rd_csv(args.anchor)
     test = metrics.read_rd_csv(args.test)
     report = metrics.bd_report(anchor, test)

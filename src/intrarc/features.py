@@ -133,13 +133,27 @@ def plane_energy(plane: np.ndarray, block_size: int, sample_scale: float) -> flo
     return math.fsum(energies.tolist()) / (energies.size * block_size**2 * sample_scale)
 
 
+def plane_mean(plane: np.ndarray, max_sample: int) -> float:
+    """Mean of a 2-D plane of integer samples in [0, max_sample].
+
+    The rows are added in an integer accumulator that cannot overflow
+    (uint32 while the column sums fit, else uint64), and the exact total
+    is divided by the sample count. Below 2^53 / 1023 samples, every
+    partial sum that float(plane.mean()) takes of 8- or 10-bit samples
+    is an exact integer too, so the two are bit-identical.
+    """
+    acc = np.uint32 if plane.shape[0] * max_sample <= 0xFFFFFFFF else np.uint64
+    total = int(np.add.reduce(plane, axis=0, dtype=acc).sum(dtype=np.uint64))
+    return total / plane.size
+
+
 def extract_features(frame, cfg: AnalyzerConfig = AnalyzerConfig()) -> FrameFeatures:
     """Compute the six complexity features of one frame."""
     g = frame.geometry
     scale = 255.0 * 2 ** (g.bit_depth - 8)
     y = frame.y_plane.reshape(g.height, g.width)
     e_y = plane_energy(y, cfg.block_size_luma, scale)
-    l_y = min(1.0, float(frame.y_plane.mean()) / scale)
+    l_y = min(1.0, plane_mean(y, g.max_sample) / scale)
     if g.chroma_format == "400":
         e_u = e_v = 0.0
         l_u = l_v = NEUTRAL_CHROMA_LEVEL
@@ -149,8 +163,8 @@ def extract_features(frame, cfg: AnalyzerConfig = AnalyzerConfig()) -> FrameFeat
         v = frame.v_plane.reshape(ch, cw)
         e_u = plane_energy(u, cfg.block_size_chroma, scale)
         e_v = plane_energy(v, cfg.block_size_chroma, scale)
-        l_u = min(1.0, float(frame.u_plane.mean()) / scale)
-        l_v = min(1.0, float(frame.v_plane.mean()) / scale)
+        l_u = min(1.0, plane_mean(u, g.max_sample) / scale)
+        l_v = min(1.0, plane_mean(v, g.max_sample) / scale)
     return FrameFeatures(e_y=e_y, l_y=l_y, e_u=e_u, l_u=l_u, e_v=e_v, l_v=l_v,
                          frame_index=frame.index)
 
@@ -159,10 +173,12 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
                      threads: int = 1) -> list[FrameFeatures]:
     """Extract features for a whole frame stream, ordered by frame index.
 
-    `threads` workers analyse the frames, and at most threads + 1 frames
-    are held, for every thread count: the oldest result is awaited before
-    the next frame is read, so memory stays bounded by a few frames
-    whatever the stream length.
+    `threads` workers analyse the frames, and at most `threads` frames
+    are held, for every thread count: once `threads` frames are in
+    flight, the oldest result is awaited before the next frame is read,
+    so memory stays bounded by a few frames whatever the stream length.
+    The read of a frame overlaps the analysis of the frames in flight
+    only, so at one thread reading and analysis take turns.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -171,7 +187,8 @@ def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for frame in frames:
             pending.append(pool.submit(extract_features, frame, cfg))
-            if len(pending) > threads:
+            del frame   # the worker holds it; the next read must not find it alive
+            if len(pending) == threads:
                 result.append(pending.popleft().result())
         result.extend(f.result() for f in pending)
     if not result:

@@ -29,6 +29,7 @@ nothing else; how the forest was trained goes to the `train` manifest.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -128,8 +129,9 @@ def _grow_tree(X: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     that contains them.
     """
     n = y.size
-    # A tree has at most one leaf per sample and 2**max_depth leaves.
-    cap = min(2 * n - 1, 2 ** (max_depth + 1) - 1)
+    # A tree has at most one leaf per sample and 2**max_depth leaves. Its
+    # depth is below n, so the power never needs a larger exponent.
+    cap = min(2 * n - 1, 2 ** (min(max_depth, n) + 1) - 1)
     feature = np.full(cap, -1, dtype=np.int8)
     value = np.zeros(cap)
     gains = np.zeros(N_FEATURES)
@@ -311,15 +313,18 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
         # slots (load checks it), so every row reaches a leaf within
         # n_nodes steps.
         left = 2 * np.cumsum(tree.feature >= 0) - 1
+        # A loaded tree's values are a view of the file's bytes and may be
+        # unaligned, which makes every gather below several times slower.
+        value = np.require(tree.value, requirements="A")
         idx = np.zeros(X.shape[0], dtype=np.intp)
         while True:
             feat = tree.feature[idx]
             active = feat >= 0
             if not active.any():
                 break
-            go_left = X[rows, np.where(active, feat, 0)] <= tree.value[idx]
+            go_left = X[rows, np.where(active, feat, 0)] <= value[idx]
             idx = np.where(active, left[idx] + ~go_left, idx)
-        leaves[t] = tree.value[idx]
+        leaves[t] = value[idx]
         total += leaves[t]
     return np.clip(total / len(model.trees), leaves.min(axis=0), leaves.max(axis=0))
 
@@ -344,11 +349,11 @@ def save(model: ForestModel, path: str) -> int:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if self.pos + size > len(self.blob):
             raise ModelFormatError("truncated model file")
         out = self.blob[self.pos:self.pos + size]
@@ -356,8 +361,9 @@ class _Reader:
         return out
 
     def array(self, dtype: str, count: int) -> np.ndarray:
+        """The next `count` values, as a view of the file's bytes."""
         dt = np.dtype(dtype)
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt)
 
 
 def _read_tree(rd: _Reader) -> Tree:
@@ -384,9 +390,16 @@ def _read_tree(rd: _Reader) -> Tree:
 
 def load(path: str) -> ForestModel:
     """Read a model back; verifies magic, version, checksum, tree structure
-    and that every value is one training can write."""
+    and that every value is one training can write.
+
+    The file is read once into one buffer, and the trees' arrays are
+    views of it, so loading holds the model's bytes once.
+    """
     with tables.naming(path), open(path, "rb") as fh:
-        blob = fh.read()
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+        data += fh.read()   # a pipe, whose size fstat does not give
+        blob = memoryview(data)
         if len(blob) < 8 or blob[:4] != _MAGIC:
             raise ModelFormatError("not a model file (bad magic)")
         if len(blob) < _HEADER.size + 4:

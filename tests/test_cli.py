@@ -215,6 +215,25 @@ class TestTrain:
         assert cfgd["min_samples_split"] == 2
         assert cfgd["max_features"] == 7
 
+    def test_huge_max_depth_costs_no_more_than_the_data_needs(self, tmp_path):
+        """No tree on 300 rows is 300 levels deep, so a depth of 10**30 grows
+        the same trees; it runs in a child process, whose timeout fails the
+        test if the depth's value costs time."""
+        X, y = sim.generate_dataset(300, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
+        data = tmp_path / "train.csv"
+        forest.write_training_csv(str(data), X, y)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+        models = []
+        for depth in (300, 10**30):
+            out = tmp_path / f"d{len(str(depth))}.ircf"
+            proc = subprocess.run(
+                [sys.executable, "-m", "intrarc.cli", "train", "--data", str(data), "--trees",
+                 "2", "--threads", "1", "--max-depth", str(depth), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
     @pytest.mark.parametrize("holdout", [None, 0.2])
     def test_sample_count_is_rows_trained_on(self, tmp_path, training_csv, capsys, holdout):
         out = tmp_path / "model.ircf"
@@ -1059,6 +1078,36 @@ class TestScipyImport:
             return [re.match(r"[\w.-]+", d).group() for d in deps]
         assert names(project["dependencies"]) == ["numpy"]
         assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+# Prints the intrarc modules that `import intrarc.cli` loads, and those
+# loaded after each call of a chain, in a fresh interpreter.
+IMPORT_PROBE = """
+import json, sys
+from intrarc import cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("intrarc."))
+out = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    out[name] = [cli.main(argv), loaded()]
+print(json.dumps(out))
+"""
+
+
+class TestLazyImports:
+    """A subcommand imports only the modules it runs."""
+
+    def test_import_and_analyze_load_only_what_they_run(self, tmp_path, y4m_file):
+        calls = [("analyze", ["analyze", "--input", str(y4m_file), "--threads", "2",
+                              "--out", str(tmp_path / "f.csv")])]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["import"] == ["intrarc.cli", "intrarc.tables"]
+        assert out["analyze"] == [0, ["intrarc.cli", "intrarc.features", "intrarc.tables",
+                                      "intrarc.video_io"]]
 
 
 # An rc run on a small model; a case appends the flags it changes, and the

@@ -265,6 +265,34 @@ class TestExtractFeatures:
         assert f.e_y > 0.0
 
 
+class TestPlaneMean:
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (67, 33), (1079, 1921)])
+    def test_bit_identical_to_numpy_mean(self, rng, bit_depth, shape):
+        hi = (1 << bit_depth) - 1
+        dtype = np.uint8 if bit_depth == 8 else np.uint16
+        for plane in (rng.integers(0, hi + 1, shape, dtype=dtype),
+                      rng.integers(hi - 3, hi + 1, shape, dtype=dtype)):
+            assert feat.plane_mean(plane, hi) == float(plane.mean())
+
+    # A row whose sum passes 2^32, and columns on both sides of the most
+    # rows that a uint32 column sum of 10-bit samples holds.
+    @pytest.mark.parametrize("shape", [(1, 2**22 + 1), (2**32 // 1023, 1),
+                                       (2**32 // 1023 + 1, 1)])
+    def test_sums_past_2_32_do_not_overflow(self, shape):
+        plane = np.full(shape, 1023, np.uint16)
+        plane.flat[0] = 5
+        total = 1023 * (plane.size - 1) + 5
+        assert feat.plane_mean(plane, 1023) == total / plane.size == float(plane.mean())
+
+    def test_features_use_it(self, rng):
+        frame = make_frame(rng, width=66, height=98, bit_depth=10)
+        f = feat.extract_features(frame)
+        for level, plane in ((f.l_y, frame.y_plane), (f.l_u, frame.u_plane),
+                             (f.l_v, frame.v_plane)):
+            assert level == min(1.0, float(plane.mean()) / 1020.0)
+
+
 class TestSequence:
     def test_identical_frames_identical_rows(self):
         frames = [flat_frame(90, index=i) for i in range(3)]
@@ -287,10 +315,11 @@ class TestSequence:
             assert np.array_equal(a.as_array(), b.as_array())
             assert a.frame_index == b.frame_index
 
-    def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch):
-        """At most threads + 1 frames are pulled from the stream and not
-        yet through extract_features, whatever the stream length."""
-        threads, n = 2, 24
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch, threads):
+        """At most `threads` frames are pulled from the stream and not yet
+        through extract_features, whatever the stream length."""
+        n = 24
         lock = threading.Lock()
         done = 0
         held = []
@@ -314,7 +343,7 @@ class TestSequence:
         monkeypatch.setattr(feat, "extract_features", slow_extract)
         rows = feat.extract_sequence(stream(), threads=threads)
         assert [r.frame_index for r in rows] == list(range(n))
-        assert max(held) <= threads + 1
+        assert max(held) <= threads
 
 
 class TestCsv:

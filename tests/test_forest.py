@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +366,35 @@ class TestSerialization:
         np.testing.assert_array_equal(
             forest.predict_batch(model, X), forest.predict_batch(loaded, X)
         )
+
+    def test_load_holds_the_file_bytes_once(self, tmp_path):
+        X, y = sim.generate_dataset(2000, sim.SimParams(kappa=1.0, noise_sigma=0.2), seed=5)
+        model = forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=20))
+        path = tmp_path / "m.ircf"
+        size = forest.save(model, str(path))
+        tracemalloc.start()
+        try:
+            loaded = forest.load(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + 128 * 1024
+        np.testing.assert_array_equal(forest.predict_batch(loaded, X), model(X))
+
+    def test_load_reads_a_pipe(self, tmp_path):
+        """A pipe's size is unknown to fstat; load reads it to the end."""
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=3))
+        path, pipe = tmp_path / "m.ircf", tmp_path / "pipe"
+        forest.save(model, str(path))
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            loaded = forest.load(str(pipe))
+        finally:
+            writer.join()
+        X = q_split_data()[0]
+        np.testing.assert_array_equal(forest.predict_batch(loaded, X), model(X))
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=3))

@@ -153,6 +153,27 @@ class TestGeometry:
             vio.PlanarFrame(g, np.zeros(10, np.uint8), np.zeros(1024, np.uint8),
                             np.zeros(1024, np.uint8))
 
+    @pytest.mark.parametrize("bit_depth, dtype, bad", [
+        (10, np.uint16, 1024), (8, np.uint16, 256), (8, np.int8, -1), (10, np.int16, -1),
+        (10, np.int32, 2**20), (8, np.int64, -(2**40)), (10, np.uint64, 2**63)])
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    def test_out_of_range_sample_rejected(self, bit_depth, dtype, bad, plane):
+        g = vio.VideoGeometry(64, 64, bit_depth=bit_depth)
+        planes = [np.zeros(n, dtype) for n in (64 * 64, 32 * 32, 32 * 32)]
+        planes[plane][7] = bad
+        with pytest.raises(vio.VideoFormatError,
+                           match=rf"sample outside \[0, {g.max_sample}\]"):
+            vio.PlanarFrame(g, *planes)
+
+    @pytest.mark.parametrize("bit_depth, dtype", [
+        (8, np.uint8), (8, np.int16), (10, np.uint16), (10, np.int32), (10, np.uint64)])
+    def test_in_range_samples_accepted(self, bit_depth, dtype):
+        g = vio.VideoGeometry(64, 64, bit_depth=bit_depth)
+        planes = [np.zeros(n, dtype) for n in (64 * 64, 32 * 32, 32 * 32)]
+        for p in planes:
+            p[-1] = g.max_sample
+        vio.PlanarFrame(g, *planes)
+
     def test_frames_are_immutable(self, rng):
         frame = make_frame(rng)
         with pytest.raises(ValueError):
