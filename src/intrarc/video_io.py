@@ -8,7 +8,6 @@ from 0.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -104,15 +103,16 @@ class PlanarFrame:
                 )
         hi = self.geometry.max_sample
         for plane in (self.y_plane, self.u_plane, self.v_plane):
-            # A scan that the dtype already rules out is skipped: uint8 at
-            # 8 bits needs neither, any other unsigned type no minimum.
-            lo, top = ((np.iinfo(plane.dtype).min, np.iinfo(plane.dtype).max)
-                       if plane.dtype.kind in "ui" else (-math.inf, math.inf))
-            if plane.size and ((top > hi and int(plane.max()) > hi)
-                               or (lo < 0 and int(plane.min()) < 0)):
-                raise VideoFormatError(
-                    f"frame {self.index}: sample outside [0, {hi}]"
-                )
+            if plane.size:
+                if plane.dtype.kind not in "ui":
+                    raise VideoFormatError(
+                        f"frame {self.index}: samples of type {plane.dtype}, not integers")
+                # A scan that the dtype already rules out is skipped: uint8 at
+                # 8 bits needs neither, any other unsigned type no minimum.
+                bounds = np.iinfo(plane.dtype)
+                if ((bounds.max > hi and int(plane.max()) > hi)
+                        or (bounds.min < 0 and int(plane.min()) < 0)):
+                    raise VideoFormatError(f"frame {self.index}: sample outside [0, {hi}]")
             plane.setflags(write=False)
 
 

@@ -165,6 +165,15 @@ class TestGeometry:
                            match=rf"sample outside \[0, {g.max_sample}\]"):
             vio.PlanarFrame(g, *planes)
 
+    @pytest.mark.parametrize("dtype, sample", [(np.float64, 100.5), (np.float32, 100.0),
+                                               (np.bool_, True)])
+    def test_non_integer_samples_rejected(self, dtype, sample):
+        """The brightness means add samples as integers, so a frame holds integers."""
+        g = vio.VideoGeometry(64, 64, chroma_format="400")
+        y = np.full(64 * 64, sample, dtype)
+        with pytest.raises(vio.VideoFormatError, match=f"samples of type {np.dtype(dtype)}"):
+            vio.PlanarFrame(g, y, np.array([], np.uint8), np.array([], np.uint8))
+
     @pytest.mark.parametrize("bit_depth, dtype", [
         (8, np.uint8), (8, np.int16), (10, np.uint16), (10, np.int32), (10, np.uint64)])
     def test_in_range_samples_accepted(self, bit_depth, dtype):
