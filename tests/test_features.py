@@ -315,10 +315,10 @@ class TestSequence:
             assert np.array_equal(a.as_array(), b.as_array())
             assert a.frame_index == b.frame_index
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch, threads):
+    def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch):
         """At most `threads` frames are pulled from the stream and not yet
-        through extract_features, whatever the stream length."""
+        through extract_features, at 1, 2 and 4 threads, whatever the
+        stream length."""
         n = 24
         lock = threading.Lock()
         done = 0
@@ -341,9 +341,11 @@ class TestSequence:
                 yield frame
 
         monkeypatch.setattr(feat, "extract_features", slow_extract)
-        rows = feat.extract_sequence(stream(), threads=threads)
-        assert [r.frame_index for r in rows] == list(range(n))
-        assert max(held) <= threads
+        for threads in (1, 2, 4):
+            done, held = 0, []
+            rows = feat.extract_sequence(stream(), threads=threads)
+            assert [r.frame_index for r in rows] == list(range(n))
+            assert max(held) <= threads, f"{threads} threads"
 
 
 class TestCsv:
