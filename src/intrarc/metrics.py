@@ -29,38 +29,27 @@ class OverlapError(ValueError):
 
 
 @dataclass(frozen=True)
-class RdPoint:
-    bitrate: float   # bits per second
-    psnr_yuv: float  # dB
-
-    def __post_init__(self):
-        if self.bitrate <= 0:
-            raise ValueError("bitrate must be positive")
-        if not math.isfinite(self.psnr_yuv):
-            raise ValueError("psnr must be finite")
-
-
-@dataclass(frozen=True)
 class RdCurve:
-    points: tuple[RdPoint, ...]
+    rates: tuple[float, ...]  # bits per second, strictly increasing
+    psnrs: tuple[float, ...]  # dB, non-decreasing
 
     def __post_init__(self):
-        if len(self.points) < 4:
-            raise ValueError(f"an RD curve needs >= 4 points, got {len(self.points)}")
-        rates = [p.bitrate for p in self.points]
-        psnrs = [p.psnr_yuv for p in self.points]
-        if any(b >= a for b, a in zip(rates, rates[1:])):
+        for rate, psnr in zip(self.rates, self.psnrs, strict=True):
+            if rate <= 0:
+                raise ValueError("bitrate must be positive")
+            if not math.isfinite(psnr):
+                raise ValueError("psnr must be finite")
+        if len(self.rates) < 4:
+            raise ValueError(f"an RD curve needs >= 4 points, got {len(self.rates)}")
+        if any(b >= a for b, a in zip(self.rates, self.rates[1:])):
             raise ValueError("bitrates must be strictly increasing")
-        if any(b > a for b, a in zip(psnrs, psnrs[1:])):
+        if any(b > a for b, a in zip(self.psnrs, self.psnrs[1:])):
             raise ValueError("psnr must be non-decreasing with bitrate")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "RdCurve":
-        pts = tuple(RdPoint(bitrate=r, psnr_yuv=p) for r, p in sorted(pairs))
-        return cls(points=pts)
-
-    def psnr_range(self) -> tuple[float, float]:
-        return self.points[0].psnr_yuv, self.points[-1].psnr_yuv
+        ordered = sorted(pairs)
+        return cls(rates=tuple(r for r, _ in ordered), psnrs=tuple(p for _, p in ordered))
 
 
 def _pchip_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
@@ -87,8 +76,8 @@ def _pchip_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float
 
 def _log_rate_integral(curve: RdCurve, name: str, lo: float, hi: float) -> float:
     """Integral of the curve's PCHIP of log10(rate) over PSNR from lo to hi."""
-    x = np.array([p.psnr_yuv for p in curve.points])
-    y = np.log10([p.bitrate for p in curve.points])
+    x = np.array(curve.psnrs)
+    y = np.log10(curve.rates)
     if (x[1:] <= x[:-1]).any():
         raise ValueError(f"{name} curve: BD-rate needs strictly increasing PSNR")
     with np.errstate(over="ignore"):
@@ -105,12 +94,17 @@ def _log_rate_integral(curve: RdCurve, name: str, lo: float, hi: float) -> float
                          "for a finite BD-rate interpolation") from None
 
 
-def _bd_rate_and_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float, float]:
-    lo = max(anchor.psnr_range()[0], test.psnr_range()[0])
-    hi = min(anchor.psnr_range()[1], test.psnr_range()[1])
+def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
+    """Average bitrate difference of `test` against `anchor`, in percent."""
+    return bd_report(anchor, test)["bd_rate_percent"]
+
+
+def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
+    lo = max(anchor.psnrs[0], test.psnrs[0])
+    hi = min(anchor.psnrs[-1], test.psnrs[-1])
     if hi <= lo:
-        raise OverlapError(
-            f"no PSNR overlap: anchor {anchor.psnr_range()}, test {test.psnr_range()}")
+        raise OverlapError(f"no PSNR overlap: anchor {(anchor.psnrs[0], anchor.psnrs[-1])}, "
+                           f"test {(test.psnrs[0], test.psnrs[-1])}")
     ia = _log_rate_integral(anchor, "anchor", lo, hi)
     it = _log_rate_integral(test, "test", lo, hi)
     offset = (it - ia) / float(hi - lo)  # a Python float: ** raises OverflowError, never warns
@@ -121,25 +115,11 @@ def _bd_rate_and_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float, 
     if not math.isfinite(rate):
         raise ValueError(f"BD-rate is not finite: mean log10-rate offset of test over anchor "
                          f"is {offset:.6g}")
-    return rate, lo, hi
-
-
-def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
-    """Average bitrate difference of `test` against `anchor`, in percent."""
-    return _bd_rate_and_overlap(anchor, test)[0]
-
-
-def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
-    rate, lo, hi = _bd_rate_and_overlap(anchor, test)
-    return {
-        "bd_rate_percent": rate,
-        "psnr_overlap": [lo, hi],
-        "method": BD_METHOD,
-    }
+    return {"bd_rate_percent": rate, "psnr_overlap": [lo, hi], "method": BD_METHOD}
 
 
 def write_rd_csv(path: str, curve: RdCurve) -> None:
-    tables.write(path, RD_COLUMNS, ([p.bitrate, p.psnr_yuv] for p in curve.points))
+    tables.write(path, RD_COLUMNS, zip(curve.rates, curve.psnrs))
 
 
 def read_rd_csv(path: str) -> RdCurve:

@@ -22,6 +22,7 @@ from intrarc.tables import BITS, QP_MAX
 
 PSNR_FLOOR = 20.0
 PSNR_CEIL = 99.0
+DATASET_QPS = (18, 48)   # inclusive QP range of generate_dataset's rows
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,14 @@ def random_features(n: int, rng: np.random.Generator, start_index: int = 0) -> l
 
 
 def generate_dataset(n: int, params: SimParams, seed: int = 0,
-                     pixels: int = 3840 * 2160,
-                     q_range: tuple[int, int] = (18, 48)) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic training table as (X, y): uniform features, uniform QP,
-    simulated bits; row i is frame i."""
+                     pixels: int = 3840 * 2160) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic training table as (X, y): uniform features, QP uniform over
+    DATASET_QPS, simulated bits; row i is frame i."""
     if n < 1:
         raise ValueError("dataset size must be >= 1")
     rng = np.random.default_rng(seed)
     feats = random_features(n, rng)
-    qs = rng.integers(q_range[0], q_range[1] + 1, size=n)
+    qs = rng.integers(DATASET_QPS[0], DATASET_QPS[1] + 1, size=n)
     y = np.array([sim_bits(f, int(q), pixels, params) for f, q in zip(feats, qs)],
                  dtype=np.float64)
     return feature_matrix(feats, qs), y

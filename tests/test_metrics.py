@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intrarc import metrics
 from intrarc import simulator as sim
@@ -35,9 +35,8 @@ class TestRdCurve:
         metrics.write_rd_csv(str(path), curve)
         assert path.read_text().splitlines()[0] == "bitrate,psnr_yuv"
         back = metrics.read_rd_csv(str(path))
-        for a, b in zip(curve.points, back.points):
-            assert b.bitrate == pytest.approx(a.bitrate, rel=1e-8)
-            assert b.psnr_yuv == pytest.approx(a.psnr_yuv, rel=1e-8)
+        assert back.rates == pytest.approx(curve.rates, rel=1e-8)
+        assert back.psnrs == pytest.approx(curve.psnrs, rel=1e-8)
 
 
 class TestBdRate:
@@ -124,9 +123,7 @@ def overlapping_curves(draw, psnr_lo, psnr_hi):
 def _scipy_integral(curve, lo, hi):
     from scipy.interpolate import PchipInterpolator
 
-    x = [p.psnr_yuv for p in curve.points]
-    return float(PchipInterpolator(x, np.log10([p.bitrate for p in curve.points]))
-                 .integrate(lo, hi))
+    return float(PchipInterpolator(curve.psnrs, np.log10(curve.rates)).integrate(lo, hi))
 
 
 # Both end slopes of both curves are floored at 0: a flat first interval before a
@@ -146,8 +143,8 @@ FLAT = [metrics.RdCurve.from_pairs(zip([1e6, np.nextafter(1e6, 2e6), 2e6, 4e6], 
 @example(curves=FLAT)
 def test_log_rate_integral_matches_scipy_pchip(curves):
     anchor, test = curves
-    lo = max(anchor.psnr_range()[0], test.psnr_range()[0])
-    hi = min(anchor.psnr_range()[1], test.psnr_range()[1])
+    lo = max(anchor.psnrs[0], test.psnrs[0])
+    hi = min(anchor.psnrs[-1], test.psnrs[-1])
     for name, curve in (("anchor", anchor), ("test", test)):
         assert metrics._log_rate_integral(curve, name, lo, hi) == pytest.approx(
             _scipy_integral(curve, lo, hi), rel=1e-11, abs=0)
@@ -158,8 +155,85 @@ def test_log_rate_integral_matches_scipy_pchip(curves):
 @given(curves=overlapping_curves(20.0, 60.0))
 def test_bd_rate_matches_scipy_pchip(curves):
     anchor, test = curves
-    lo = max(anchor.psnr_range()[0], test.psnr_range()[0])
-    hi = min(anchor.psnr_range()[1], test.psnr_range()[1])
+    lo = max(anchor.psnrs[0], test.psnrs[0])
+    hi = min(anchor.psnrs[-1], test.psnrs[-1])
     mean_log_diff = (_scipy_integral(test, lo, hi) - _scipy_integral(anchor, lo, hi)) / (hi - lo)
     expected = 100.0 * (10.0**mean_log_diff - 1.0)
     assert metrics.bd_rate(anchor, test) == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(1, 1e9), st.floats(0, 100)), max_size=9),
+       data=st.data())
+def test_from_pairs_ignores_input_order(pairs, data):
+    shuffled = data.draw(st.permutations(pairs))
+    assert (_outcome(metrics.RdCurve.from_pairs, shuffled)
+            == _outcome(metrics.RdCurve.from_pairs, sorted(pairs)))
+
+
+DISJOINT = [metrics.RdCurve.from_pairs([(1e5, 20), (2e5, 22), (3e5, 24), (4e5, 26)]),
+            metrics.RdCurve.from_pairs([(1e6, 40), (2e6, 42), (3e6, 44), (4e6, 46)])]
+OVERFLOWING = [metrics.RdCurve.from_pairs([(k * 1e-300, 30.0 + k) for k in (1, 2, 4, 8)]),
+               metrics.RdCurve.from_pairs([(k * 1e300, 30.0 + k) for k in (1, 2, 4, 8)])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves=overlapping_curves(0.0, 100.0))
+@example(curves=KNEES)
+@example(curves=FLAT)
+@example(curves=DISJOINT)
+@example(curves=OVERFLOWING)
+def test_bd_rate_is_the_reports_value(curves):
+    def report_rate(anchor, test):
+        return metrics.bd_report(anchor, test)["bd_rate_percent"]
+
+    rate, reported = (_outcome(fn, *curves) for fn in (metrics.bd_rate, report_rate))
+    if isinstance(rate, float):
+        assert rate.hex() == reported.hex()
+    else:
+        assert rate == reported
+
+
+def _faults(pairs):
+    """Every fault of an RD curve, in the order RdCurve reports them: each point in
+    rate order (a rate <= 0, then a non-finite PSNR), then fewer than 4 points,
+    rates not strictly increasing and PSNR falling."""
+    ordered = sorted(pairs)
+    faults = []
+    for rate, psnr in ordered:
+        if rate <= 0:
+            faults.append("bitrate must be positive")
+        if not np.isfinite(psnr):
+            faults.append("psnr must be finite")
+    if len(pairs) < 4:
+        faults.append(f"an RD curve needs >= 4 points, got {len(pairs)}")
+    rates, psnrs = [r for r, _ in ordered], [p for _, p in ordered]
+    if any(b >= a for b, a in zip(rates, rates[1:])):
+        faults.append("bitrates must be strictly increasing")
+    if any(b > a for b, a in zip(psnrs, psnrs[1:])):
+        faults.append("psnr must be non-decreasing with bitrate")
+    return faults
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from([-1e5, 0.0, 1e5, 2e5, 4e5, 8e5, 1.6e6]),
+                                st.one_of(st.floats(20, 50),
+                                          st.sampled_from([np.nan, np.inf, -np.inf]))),
+                      max_size=7))
+@example(pairs=[(1e5, np.nan), (0.0, 30.0), (2e5, 31.0), (4e5, 32.0)])
+@example(pairs=[(1e5, 33.0), (2e5, np.inf), (4e5, 32.0)])
+@example(pairs=[(1e5, 30.0), (1e5, 31.0), (2e5, 29.0), (4e5, 32.0)])
+def test_a_curve_with_two_faults_reports_the_first(pairs):
+    faults = _faults(pairs)
+    assume(len(set(faults)) >= 2)
+    with pytest.raises(ValueError) as raised:
+        metrics.RdCurve.from_pairs(pairs)
+    assert str(raised.value) == faults[0]
