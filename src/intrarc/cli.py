@@ -9,7 +9,12 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 I/O error.
 
 Each subcommand imports the modules it runs inside its own function, so
 a call pays only for what it uses: `analyze` never loads the forest,
-and `--version` loads none of them.
+and `--version`, `--help` and usage errors load none of them, nor numpy.
+
+`main()` pins BLAS to one thread when it runs before numpy is loaded, as
+it does in an intrarc process: `--threads` is intrarc's only
+parallelism, and its BLAS calls are too small for a BLAS pool to pay.
+A caller that loaded numpy first keeps its environment and its BLAS.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from intrarc import __version__
 from intrarc import tables
 
@@ -30,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 PREDICT_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "b_hat": tables.REAL}
 LOG_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "bits": tables.BITS}
@@ -142,6 +147,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import numpy as np
+
     from intrarc import forest
 
     _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
@@ -387,6 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # BLAS reads its thread count once, when numpy loads.
+    if "numpy" not in sys.modules:
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -126,8 +126,13 @@ def _split_planes(payload: bytes, geometry: VideoGeometry, index: int) -> Planar
     return PlanarFrame(geometry=geometry, y_plane=y, u_plane=u, v_plane=v, index=index)
 
 
+def _first_token(line: bytes) -> bytes:
+    """The first token of a Y4M stream or frame header: parameters follow a space."""
+    return line.rstrip(b"\n").partition(b" ")[0]
+
+
 def _parse_y4m_header(line: bytes) -> VideoGeometry:
-    if not line.startswith(_Y4M_MAGIC):
+    if _first_token(line) != _Y4M_MAGIC:
         raise VideoFormatError("missing YUV4MPEG2 signature")
     width = height = fps_num = fps_den = None
     chroma = "420"
@@ -177,7 +182,7 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
             marker = fh.readline()
             if marker == b"":
                 return
-            if not marker.startswith(b"FRAME"):
+            if _first_token(marker) != b"FRAME":
                 raise VideoFormatError(f"bad FRAME marker before frame {index}")
             # Checked before the read, which would allocate the whole frame
             # that the header declares, however large.

@@ -150,7 +150,8 @@ def y4m_clip(draw):
     else:
         frame = 0
     for _ in range(draw(st.integers(0, 3))):
-        data += draw(st.sampled_from([b"FRAME\n"] * 3 + [b"FRAME Ixyz\n", b"FRAM\n", b""]))
+        data += draw(st.sampled_from([b"FRAME\n"] * 3 + [b"FRAME Ixyz\n", b"FRAM\n", b"FRAMEX\n",
+                                                         b""]))
         data += _payload(draw, _size(draw, frame))
     return data[:MAX_CLIP_BYTES], []
 
@@ -983,6 +984,10 @@ class TestDataErrorsNameTheFile:
                      "frame rate must be positive", id="y4m zero frame rate"),
         pytest.param(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\n", [],
                      "no frames in input stream", id="y4m header only"),
+        pytest.param(b"YUV4MPEG2X W64 H64 F30:1 Ip C420\nFRAME\n" + bytes(6144), [],
+                     "missing YUV4MPEG2 signature", id="y4m signature YUV4MPEG2X"),
+        pytest.param(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\nFRAMEXYZ\n" + bytes(6144), [],
+                     "bad FRAME marker before frame 0", id="y4m marker FRAMEXYZ"),
         pytest.param(b"", ["--raw-geometry", "64x64:8:420"],
                      "no frames in input stream", id="empty raw"),
         pytest.param(np.full(6144, 1024, "<u2").tobytes(), ["--raw-geometry", "64x64:10:420"],
@@ -1017,6 +1022,16 @@ class TestDataErrorsNameTheFile:
                    "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
         assert capsys.readouterr().err == (
             f"error: encoder failed at frame 0: {log}: no log entry for frame 0 at q=33\n")
+
+
+def _fresh_interpreter(probe: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run `probe` on `args` in a new interpreter that imports this intrarc, with `env` added."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)),
+               **env)
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 # Runs a small chain in a fresh interpreter and prints, per subcommand,
@@ -1054,10 +1069,7 @@ class TestScipyImport:
                         "--out", tmp_path / "bd.json"]),
         ]
         calls = [(name, [str(a) for a in argv]) for name, argv in chain]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, mode, json.dumps(calls)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        proc = _fresh_interpreter(SCIPY_PROBE, mode, json.dumps(calls))
         return json.loads(proc.stdout.splitlines()[-1])
 
     def test_no_subcommand_imports_scipy(self, tmp_path, y4m_file, training_csv):
@@ -1080,34 +1092,79 @@ class TestScipyImport:
         assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
-# Prints the intrarc modules that `import intrarc.cli` loads, and those
-# loaded after each call of a chain, in a fresh interpreter.
+# Prints the intrarc modules, and numpy if loaded, after `import intrarc.cli`
+# and after each call of a chain, in a fresh interpreter.
 IMPORT_PROBE = """
 import json, sys
 from intrarc import cli
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("intrarc."))
+    return sorted(m for m in sys.modules if m.startswith("intrarc.") or m == "numpy")
 out = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):
-    out[name] = [cli.main(argv), loaded()]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out[name] = [code, loaded()]
 print(json.dumps(out))
 """
 
 
 class TestLazyImports:
-    """A subcommand imports only the modules it runs."""
+    """A subcommand imports only the modules it runs, and numpy only when it computes."""
+
+    CLI = ["intrarc.cli", "intrarc.tables"]
 
     def test_import_and_analyze_load_only_what_they_run(self, tmp_path, y4m_file):
         calls = [("analyze", ["analyze", "--input", str(y4m_file), "--threads", "2",
                               "--out", str(tmp_path / "f.csv")])]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        proc = _fresh_interpreter(IMPORT_PROBE, json.dumps(calls))
         out = json.loads(proc.stdout.splitlines()[-1])
-        assert out["import"] == ["intrarc.cli", "intrarc.tables"]
+        assert out["import"] == self.CLI
         assert out["analyze"] == [0, ["intrarc.cli", "intrarc.features", "intrarc.tables",
-                                      "intrarc.video_io"]]
+                                      "intrarc.video_io", "numpy"]]
+
+    def test_version_help_and_usage_errors_load_no_numpy(self):
+        calls = [("version", ["--version"]), ("help", ["--help"]),
+                 ("usage", ["analyze", "--threads", "2"])]
+        proc = _fresh_interpreter(IMPORT_PROBE, json.dumps(calls))
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out == {"import": self.CLI, "version": [0, self.CLI], "help": [0, self.CLI],
+                       "usage": [2, self.CLI]}
+        assert proc.stdout.splitlines()[0] == f"intrarc {intrarc.__version__}" == "intrarc 0.1.0"
+        assert "the following arguments are required: --input, --out" in proc.stderr
+
+
+# Runs a call through cli.main in a fresh interpreter and prints its exit
+# code, the threads the process holds after it and its BLAS thread settings.
+BLAS_PROBE = """
+import json, os, sys
+from intrarc import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                  [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")]]))
+"""
+
+
+class TestBlasThreads:
+    """An intrarc process runs BLAS on one thread; a caller that loaded numpy keeps its own."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc/self/task and 2 CPUs for a BLAS pool to start")
+    def test_a_fresh_process_holds_one_thread(self, cli_inputs, tmp_path):
+        argv = ["predict", "--model", str(cli_inputs / "m.ircf"),
+                "--features", str(cli_inputs / "features.csv"), "--qp", "30",
+                "--out", str(tmp_path / "p.csv")]
+        proc = _fresh_interpreter(BLAS_PROBE, json.dumps(argv), OPENBLAS_NUM_THREADS="4",
+                                  OMP_NUM_THREADS="4", MKL_NUM_THREADS="4")
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 1, ["1", "1", "1"]]
+
+    def test_a_caller_with_numpy_keeps_its_environment(self, cli_inputs, tmp_path):
+        before = dict(os.environ)
+        assert run("predict", "--model", cli_inputs / "m.ircf", "--features",
+                   cli_inputs / "features.csv", "--qp", 30, "--out", tmp_path / "p.csv") == 0
+        assert dict(os.environ) == before
 
 
 # An rc run on a small model; a case appends the flags it changes, and the
