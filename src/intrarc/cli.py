@@ -35,6 +35,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MAX_THREADS = 64   # the most --threads takes: each analysis thread holds a frame
 
 PREDICT_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "b_hat": tables.REAL}
 LOG_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "bits": tables.BITS}
@@ -112,11 +113,16 @@ def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
         raise UsageError(f"{flag} must be {rule}, got {value}")
 
 
+def _check_threads(threads: int) -> None:
+    _check_flag("--threads", threads, threads >= 1, "at least 1")
+    _check_flag("--threads", threads, threads <= MAX_THREADS, f"at most {MAX_THREADS}")
+
+
 def cmd_analyze(args) -> int:
     from intrarc import features as feat
     from intrarc import video_io
 
-    _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
+    _check_threads(args.threads)
     if _is_y4m(args.input):
         frames = video_io.open_y4m(args.input)
     else:
@@ -151,7 +157,7 @@ def cmd_train(args) -> int:
 
     from intrarc import forest
 
-    _check_flag("--threads", args.threads, args.threads >= 1, "at least 1")
+    _check_threads(args.threads)
     _check_flag("--trees", args.trees, args.trees >= 1, "at least 1")
     _check_flag("--max-depth", args.max_depth, args.max_depth >= 1, "at least 1")
     _check_flag("--seed", args.seed, args.seed >= 0, "at least 0")
@@ -334,9 +340,10 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The cores this process may run on, which can be fewer than the machine has.
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
+    # The cores this process may run on, which can be fewer than the machine
+    # has, up to MAX_THREADS.
+    cores = min(MAX_THREADS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     parser = argparse.ArgumentParser(
         prog="intrarc",
         description="Two-pass all-intra rate control from low-complexity video features",

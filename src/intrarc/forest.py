@@ -12,13 +12,18 @@ samples.
 Trees are grown one depth level at a time. A level's samples sit in one
 array, each node a contiguous segment in slot order, and every node of
 the level is searched at once: per input, one sort of the level by node
-and rank and one prefix-sum scan per group of nodes of similar size. A
-node keeps its samples in the order that splitting one node at a time
-gives (its parent's, stably sorted by the parent's split input), so its
+and rank and one prefix-sum scan per group of nodes of similar size.
+The sort keys are unique integers, int32 while they fit (always, up to
+23,170 samples a tree) and int64 beyond. A node keeps its samples in the order
+that splitting one node at a time gives (its parent's, stably sorted by
+the parent's split input, which is that input's sorted keys), so its
 mean and prefix sums add the same numbers in the same order, and the
 trees are bit for bit those of a node-by-node grower. Nodes sit in
 level order, and the k-th split node's children are at slots 1 + 2k
 and 2 + 2k.
+
+Training tables are read into float64 columns one block of rows at a
+time (`tables.blocks`), so a row never becomes a Python list.
 
 Models serialize to a compact little-endian binary: magic "IRCF", a
 format version, the tree count, per tree the node count, the feature of
@@ -41,6 +46,7 @@ from intrarc import tables
 from intrarc.features import FEATURE_COLUMNS, FrameFeatures
 
 N_FEATURES = 7   # model inputs: a training row's columns from e_y to q
+_INT32_KEYS = 2**31   # split-search sort keys are int32 while below this bound
 
 TRAINING_COLUMNS = {**FEATURE_COLUMNS, "q": tables.QP, "bits": tables.BITS}
 INPUT_NAMES = tuple(TRAINING_COLUMNS)[1:1 + N_FEATURES]
@@ -198,20 +204,22 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
     offset = np.arange(samples.size) - first
     last = offset == counts[seg] - 1
     # Node j has width W_j, the least power of two >= its size, and its
-    # samples get the int64 sort keys
+    # samples get the sort keys
     #   (sum of W_i over nodes i < j) << bits  +  rank << log2(W_j)  +  offset.
     # A plain sort then orders the level by node, then rank, then offset:
     # the stable order. key & (W_j - 1) is the offset, key >> log2(W_j) is
-    # equal for equal ranks, and keys stay below 4 n**2, which int64 holds
-    # for up to 1.5e9 samples.
+    # equal for equal ranks, and keys stay below (sum of all W_j) << bits,
+    # at most 4 n**2. Within _INT32_KEYS they are int32, which sorts faster
+    # than int64; being unique, they sort to the same order either way.
     shift = np.frexp(counts - 1)[1].astype(np.int64)
     width = 1 << shift
-    base = ((np.cumsum(width) - width) << bits)[seg] + offset
-    shift, mask = shift[seg], (width - 1)[seg]
+    keys = np.int32 if int(width.sum()) << bits <= _INT32_KEYS else np.int64
+    base = (((np.cumsum(width) - width) << bits)[seg] + offset).astype(keys)
+    shift, mask = shift[seg].astype(keys), (width - 1)[seg].astype(keys)
     # Node j also owns W_j cells of a flat buffer, in which the nodes of
     # one width form the rows of a (rows, W) table, so one row-wise cumsum
     # adds each node's samples in the order a sequential scan of the node
-    # would.
+    # would. Every input writes the same cells, so the rest stay 0.
     by_width = np.argsort(width, kind="stable")
     row_width = width[by_width]
     row_start = np.cumsum(row_width) - row_width
@@ -222,7 +230,8 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
     for w in np.unique(row_width).tolist():
         r0, r1 = np.searchsorted(row_width, [w, w + 1]).tolist()
         tables.append((slice(int(row_start[r0]), int(row_start[r0]) + (r1 - r0) * w), w))
-    prefix = np.empty(int(row_width.sum()))
+    table = np.zeros(int(row_width.sum()))
+    prefix = np.empty(table.size)
     # The gain of the cut after offset i of a node of n samples: the sum
     # of the first i + 1 centred targets, squared, times n / (k * (n - k))
     # with k = i + 1 (k = n is no cut; divide by 1 there).
@@ -232,10 +241,13 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
     best_gain = np.full(k, -np.inf)
     best_col = np.zeros(k, dtype=np.intp)
     best_pos = np.zeros(k, dtype=np.intp)
+    # Each sample's position in `samples` once its node is sorted by the
+    # node's best input so far (a node that never wins keeps its order).
+    order = np.arange(samples.size)
     for c in range(N_FEATURES):
         key = np.sort((ranks[c][samples] << shift) + base)
-        table = np.zeros(prefix.size)
-        table[dest] = centred[first + (key & mask)]
+        at = first + (key & mask)
+        table[dest] = centred[at]
         for rows, w in tables:
             np.cumsum(table[rows].reshape(-1, w), axis=1, out=prefix[rows].reshape(-1, w))
         # No cut after a node's last sample or between equal ranks.
@@ -245,12 +257,16 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
         gain = np.where(blocked, -np.inf, prefix[dest] ** 2 * factor)
         top = np.maximum.reduceat(gain, starts)
         won = top > best_gain
+        if not won.any():
+            continue
         best_gain[won] = top[won]
         best_col[won] = c
         best_pos[won] = np.minimum.reduceat(np.where(gain == top[seg], offset, samples.size),
                                             starts)[won]
-    key = np.sort((ranks[best_col[seg], samples] << shift) + base)
-    return best_gain, best_col, best_pos, samples[first + (key & mask)]
+        # A node's segment holds the same positions before and after the sort.
+        moved = won[seg]
+        order[moved] = at[moved]
+    return best_gain, best_col, best_pos, samples[order]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -427,6 +443,8 @@ def write_training_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
 
 
 def read_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a training table into (X, y)."""
-    data = np.array([v for _, v in tables.read(path, TRAINING_COLUMNS)], dtype=np.float64)
-    return data[:, 1:8], data[:, 8]
+    """Load a training table into (X, y), built column-wise from the
+    reader's blocks, so no row of values is ever a Python list."""
+    data = np.concatenate([np.array(values, dtype=np.float64)
+                           for _, values in tables.blocks(path, TRAINING_COLUMNS)], axis=1)
+    return data[1:8].T, data[8]

@@ -1,6 +1,14 @@
 """The CSV format of every table intrarc reads or writes: a header of
 column names, then rows of numbers, each column an int or float type
 with a finite range. Float columns are written to 9 significant digits.
+
+A table is read in blocks of up to BLOCK_ROWS records. Each column of a
+block is converted with one `map` of its type and checked with one
+`sum`, `min` and `max`, so the per-value work runs in C. A block that
+fails those checks is parsed again field by field, which finds its first
+fault and its message. Faults are reported in file order: a wrong field
+count, a bad value or malformed CSV on an earlier line wins over any
+fault after it.
 """
 
 from __future__ import annotations
@@ -8,9 +16,11 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-QP_MAX = 63   # quantization parameters run 0..QP_MAX
+QP_MAX = 63        # quantization parameters run 0..QP_MAX
+BLOCK_ROWS = 256   # records read, converted and checked at a time
 
 
 class Column(NamedTuple):
@@ -19,7 +29,7 @@ class Column(NamedTuple):
     hi: float = math.inf
 
 
-INDEX = Column(int, 0)              # frame index
+INDEX = Column(int, 0, 2**53)       # frame index; 2**53 keeps it exact as a float
 QP = Column(int, 0, QP_MAX)
 BITS = Column(float, 1, 2**53)      # bits of a frame, or bits per second; 2**53 keeps sums exact
 ENERGY = Column(float, 0)           # DCT texture energy
@@ -60,26 +70,76 @@ def _parse(line: int, name: str, col: Column, text: str):
                      f"expected a finite {col.kind.__name__} in [{col.lo:.16g}, {col.hi:.16g}]")
 
 
-def read(path: str, columns: dict[str, Column]) -> list[tuple[int, list]]:
-    """Every row as (line number, values) after the exact header; no rows, a
-    value outside its column or malformed CSV raise ValueError naming the line."""
+def _fits(col: Column, values: list) -> bool:
+    """Whether every value is finite and inside `col`. A float column whose
+    sum overflows fails too; the field-by-field parse then passes it."""
+    total = sum(values)
+    return total - total == 0 and col.lo <= min(values) and max(values) <= col.hi
+
+
+def _columns(lines: list[int], records: list[list[str]], columns: dict[str, Column]) -> list[list]:
+    """A block's values column by column; raises its first fault in file order."""
+    if set(map(len, records)) == {len(columns)}:
+        try:
+            values = [list(map(col.kind, texts))
+                      for col, texts in zip(columns.values(), zip(*records))]
+        except ValueError:
+            pass
+        else:
+            if all(map(_fits, columns.values(), values)):
+                return values
     rows = []
+    for line, rec in zip(lines, records):
+        if len(rec) != len(columns):
+            raise ValueError(f"line {line} has {len(rec)} fields, expected {len(columns)}")
+        rows.append([_parse(line, name, col, text)
+                     for (name, col), text in zip(columns.items(), rec)])
+    return [list(col) for col in zip(*rows)]
+
+
+def _csv_fault(reader, exc: csv.Error | UnicodeDecodeError) -> ValueError:
+    if isinstance(exc, csv.Error):
+        return ValueError(f"line {reader.line_num}: {exc}")
+    return ValueError(str(exc))
+
+
+def blocks(path: str, columns: dict[str, Column]) -> Iterator[tuple[list[int], list[list]]]:
+    """The rows after the exact header, in blocks of up to BLOCK_ROWS: each
+    block's line numbers and its values column by column. No rows, a row
+    with the wrong field count, a value outside its column or malformed CSV
+    raise ValueError naming the line, the first in file order."""
     with naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            if next(reader, None) != list(columns):
-                raise ValueError(f"expected header {','.join(columns)}")
-            for rec in reader:
-                line = reader.line_num
-                if len(rec) != len(columns):
-                    raise ValueError(f"line {line} has {len(rec)} fields, "
-                                     f"expected {len(columns)}")
-                rows.append((line, [_parse(line, name, col, text)
-                                    for (name, col), text in zip(columns.items(), rec)]))
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(str(exc)) from None
-        if not rows:
+            header = next(reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _csv_fault(reader, exc) from None
+        if header != list(columns):
+            raise ValueError(f"expected header {','.join(columns)}")
+        n_rows = 0
+        while True:
+            lines, records, fault = [], [], None
+            try:
+                for rec in islice(reader, BLOCK_ROWS):
+                    records.append(rec)
+                    lines.append(reader.line_num)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # The rows read before it may hold an earlier fault.
+                fault = _csv_fault(reader, exc)
+            if records:
+                yield lines, _columns(lines, records, columns)
+                n_rows += len(records)
+            if fault:
+                raise fault
+            if len(records) < BLOCK_ROWS:
+                break
+        if not n_rows:
             raise ValueError("no data rows")
+
+
+def read(path: str, columns: dict[str, Column]) -> list[tuple[int, list]]:
+    """Every row as (line number, values); `blocks` says what is rejected."""
+    rows = []
+    for lines, values in blocks(path, columns):
+        rows.extend(zip(lines, map(list, zip(*values))))
     return rows
