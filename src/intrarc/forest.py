@@ -14,11 +14,11 @@ array, each node a contiguous segment in slot order, and every node of
 the level is searched at once: per input, one sort of the level by node
 and rank and one prefix-sum scan per group of nodes of similar size.
 The sort keys are unique integers, int32 while they fit (always, up to
-23,170 samples a tree) and int64 beyond. A node keeps its samples in the order
-that splitting one node at a time gives (its parent's, stably sorted by
-the parent's split input, which is that input's sorted keys), so its
-mean and prefix sums add the same numbers in the same order, and the
-trees are bit for bit those of a node-by-node grower. Nodes sit in
+23,170 samples a tree) and int64 beyond. A node keeps its samples in
+the order that splitting one node at a time gives (its parent's, stably
+sorted by the parent's split input, which is that input's sorted keys),
+so its mean and prefix sums add the same numbers in the same order, and
+the trees are bit for bit those of a node-by-node grower. Nodes sit in
 level order, and the k-th split node's children are at slots 1 + 2k
 and 2 + 2k.
 
@@ -209,8 +209,9 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
     # A plain sort then orders the level by node, then rank, then offset:
     # the stable order. key & (W_j - 1) is the offset, key >> log2(W_j) is
     # equal for equal ranks, and keys stay below (sum of all W_j) << bits,
-    # at most 4 n**2. Within _INT32_KEYS they are int32, which sorts faster
-    # than int64; being unique, they sort to the same order either way.
+    # at most 4 n**2, which int64 holds for up to 1.5e9 samples. Within
+    # _INT32_KEYS they are int32, which sorts faster than int64; being
+    # unique, they sort to the same order either way.
     shift = np.frexp(counts - 1)[1].astype(np.int64)
     width = 1 << shift
     keys = np.int32 if int(width.sum()) << bits <= _INT32_KEYS else np.int64

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import warnings
 import zlib
 
@@ -234,6 +235,20 @@ class TestTrain:
             assert proc.returncode == 0, proc.stderr
             models.append(out.read_bytes())
         assert models[0] == models[1]
+
+    def test_frame_index_past_the_float_range_is_data_error(self, tmp_path, training_csv,
+                                                             capsys):
+        """A 400-digit index once overflowed float64 as the table became an
+        array, a traceback with exit 1."""
+        lines = training_csv.read_text().splitlines()
+        index = "9" * 400
+        lines[5] = ",".join([index, *lines[5].split(",")[1:]])
+        training_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.ircf"
+        assert run("train", "--data", training_csv, "--trees", 2, "--out", out) == 3
+        assert (f"error: {training_csv}: line 6 has frame_index='{index}', expected a finite "
+                "int in [0, 9007199254740992]") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("holdout", [None, 0.2])
     def test_sample_count_is_rows_trained_on(self, tmp_path, training_csv, capsys, holdout):
@@ -1180,6 +1195,9 @@ class TestUsage:
         parser = cli.build_parser()
         assert parser.parse_args(["analyze", "--input", "a", "--out", "b"]).threads == 1
         assert parser.parse_args(["train", "--data", "a", "--out", "b"]).threads == 1
+        # more cores than --threads takes: the maximum
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
+        assert cli.build_parser().parse_args(["train", "--data", "a", "--out", "b"]).threads == 64
         # without an affinity call, every CPU the machine reports
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -1193,6 +1211,22 @@ class TestUsage:
         source = ["--input", y4m_file] if subcommand == "analyze" else ["--data", training_csv]
         assert run(subcommand, *source, "--threads", threads, "--out", out) == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [cli.MAX_THREADS + 1, 10**6])
+    @pytest.mark.parametrize("subcommand", ["analyze", "train"])
+    def test_threads_above_the_maximum_is_usage_error(self, tmp_path, y4m_file, training_csv,
+                                                      capsys, monkeypatch, subcommand,
+                                                      threads):
+        """Rejected before any work, so no thread starts."""
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        out = tmp_path / "out"
+        source = ["--input", y4m_file] if subcommand == "analyze" else ["--data", training_csv]
+        assert run(subcommand, *source, "--threads", threads, "--out", out) == 2
+        assert f"--threads must be at most 64, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -12,6 +12,7 @@ from intrarc import forest
 from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 
+import reference_tables
 from conftest import FIRST_TREE, malform_model, reseal
 from reference_forest import grow_tree as reference_grow_tree
 
@@ -257,6 +258,28 @@ class TestLevelWiseGrower:
         for t in range(4):
             boot = forest._tree_rng(0, t).integers(0, y.size, size=y.size)
             assert_grown_as_reference(X[boot], y[boot], 12, ranks[:, boot])
+
+    @pytest.mark.parametrize("limit, dtypes", [(2**16, {"int32", "int64"}),
+                                               (2**17, {"int32", "int64"}),
+                                               (forest._INT32_KEYS, {"int32"})])
+    def test_keys_cross_the_int32_bound(self, monkeypatch, limit, dtypes):
+        """Levels whose sort keys may pass the bound sort them as int64, the
+        others as int32; the trees are the reference's either way."""
+        sorted_dtypes = set()
+        sort = np.sort
+
+        def spy(a, *args, **kwargs):
+            sorted_dtypes.add(a.dtype.name)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(forest, "_INT32_KEYS", limit)
+        monkeypatch.setattr(np, "sort", spy)
+        X, y = sim.generate_dataset(500, sim.SimParams(kappa=1.0, noise_sigma=0.3), seed=2)
+        ranks = forest._ranks(X)
+        for t in range(2):
+            boot = forest._tree_rng(0, t).integers(0, y.size, size=y.size)
+            assert_grown_as_reference(X[boot], y[boot], 12, ranks[:, boot])
+        assert sorted_dtypes == dtypes
 
     @settings(max_examples=60, deadline=None)
     @given(table=tie_heavy_tables())
@@ -605,6 +628,31 @@ class TestTrainingCsv:
         X, y = forest.read_training_csv(str(path))
         np.testing.assert_allclose(X, Xd, rtol=1e-8)
         np.testing.assert_allclose(y, yd, rtol=1e-8)
+
+    def test_reading_peaks_below_the_row_reader(self, tmp_path):
+        """Reading 10,000 rows column-wise in blocks peaks no higher than the
+        row reader did, with its rows of values and their array."""
+        X, y = sim.generate_dataset(10_000, sim.SimParams(kappa=1.0, noise_sigma=0.1), seed=3)
+        path = str(tmp_path / "t.csv")
+        forest.write_training_csv(path, X, y)
+
+        def row_reader():
+            rows = reference_tables.read(path, forest.TRAINING_COLUMNS)
+            data = np.array([v for _, v in rows], dtype=np.float64)
+            return data[:, 1:8], data[:, 8]
+
+        peaks, got = {}, {}
+        for name, read in (("rows", row_reader),
+                           ("blocks", lambda: forest.read_training_csv(path))):
+            tracemalloc.start()
+            try:
+                got[name] = read()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["blocks"] <= peaks["rows"], peaks
+        for want, have in zip(got["rows"], got["blocks"]):
+            assert want.tobytes() == np.ascontiguousarray(have).tobytes()
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
