@@ -248,12 +248,11 @@ def _log_encoder(path: str, frame_indices: set[int]):
             side = "log" if odd in logged_frames else "features"
             raise ValueError(f"frame {odd} appears only in the {side}")
 
-    def encode(decision) -> float:
-        key = (decision.frame_index, decision.q_prime_p)
-        if key not in table:
+    def encode(frame_index: int, q: int, target_bits: float) -> float:
+        if (frame_index, q) not in table:
             with tables.naming(path):
-                raise ValueError(f"no log entry for frame {key[0]} at q={key[1]}")
-        return table[key]
+                raise ValueError(f"no log entry for frame {frame_index} at q={q}")
+        return table[frame_index, q]
 
     return encode
 

@@ -14,8 +14,8 @@ side, and charges the frame's actual spend back into the deficit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,16 +84,16 @@ class RcConfig:
         return f"{self.fps_num}/{self.fps_den}"
 
 
-@dataclass(frozen=True)
-class FrameDecision:
+class FrameDecision(NamedTuple):
+    """One frame of the second pass, a row of the trace in TRACE_COLUMNS order."""
     frame_index: int
     q_p: int
     b_hat_p: float
     b_prime_p: float
     q_bar_p: float
     q_prime_p: int
-    actual_bits: float | None = None
-    deficit: float | None = None   # running deficit after this frame's spend
+    actual_bits: float
+    deficit: float   # running deficit after this frame's spend
 
 
 def c_high_for(resolution: VideoGeometry) -> float:
@@ -159,7 +159,7 @@ def map_qp(record: FirstPassRecord, b_prime: float, cfg: RcConfig) -> tuple[floa
 
 
 def run_second_pass(records: Sequence[FirstPassRecord],
-                    encoder: Callable[[FrameDecision], float],
+                    encoder: Callable[[int, int, float], float],
                     cfg: RcConfig) -> tuple[list[FrameDecision], dict]:
     """Sequentially encode all frames under deficit compensation.
 
@@ -174,16 +174,13 @@ def run_second_pass(records: Sequence[FirstPassRecord],
     for rec in records:
         b_prime = compute_target_bits(deficit, cfg)
         q_bar, q_prime = map_qp(rec, b_prime, cfg)
-        pending = FrameDecision(
-            frame_index=rec.frame_index, q_p=rec.q_p, b_hat_p=rec.b_hat_p,
-            b_prime_p=b_prime, q_bar_p=q_bar, q_prime_p=q_prime,
-        )
         try:
-            actual = float(encoder(pending))
+            actual = float(encoder(rec.frame_index, q_prime, b_prime))
         except Exception as exc:
             raise EncoderError(f"encoder failed at frame {rec.frame_index}: {exc}") from exc
         deficit += actual - b_base
-        decisions.append(replace(pending, actual_bits=actual, deficit=deficit))
+        decisions.append(FrameDecision(rec.frame_index, rec.q_p, rec.b_hat_p, b_prime,
+                                       q_bar, q_prime, actual, deficit))
     total_bits = math.fsum(d.actual_bits for d in decisions)
     n = len(decisions)
     summary = {
@@ -198,9 +195,7 @@ def run_second_pass(records: Sequence[FirstPassRecord],
 
 def write_trace_csv(path: str, decisions: Iterable[FrameDecision]) -> None:
     """Per-frame trace: one row per decision, ending in its running deficit."""
-    tables.write(path, TRACE_COLUMNS, (
-        [d.frame_index, d.q_p, d.b_hat_p, d.b_prime_p, d.q_bar_p, d.q_prime_p,
-         d.actual_bits, d.deficit] for d in decisions))
+    tables.write(path, TRACE_COLUMNS, decisions)
 
 
 def read_trace_csv(path: str) -> list[FrameDecision]:

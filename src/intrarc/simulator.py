@@ -108,11 +108,11 @@ def generate_dataset(n: int, params: SimParams, seed: int = 0,
 
 
 def make_encoder(features: list[FrameFeatures], pixels: int, params: SimParams):
-    """Encoding callback for the second pass: FrameDecision -> actual bits."""
+    """Encoder for the second pass: (frame index, QP, bit target) -> actual bits."""
     by_index = {f.frame_index: f for f in features}
 
-    def encode(decision) -> int:
-        return sim_bits(by_index[decision.frame_index], decision.q_prime_p, pixels, params)
+    def encode(frame_index: int, q: int, target_bits: float) -> int:
+        return sim_bits(by_index[frame_index], q, pixels, params)
 
     return encode
 

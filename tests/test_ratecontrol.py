@@ -214,7 +214,7 @@ class TestSecondPass:
     def test_perfect_oracle_keeps_deficit_zero(self):
         cfg = cfg_4k()
         records = [rc.FirstPassRecord(i, 32, cfg.frame_budget) for i in range(50)]
-        decisions, summary = rc.run_second_pass(records, lambda d: d.b_prime_p, cfg)
+        decisions, summary = rc.run_second_pass(records, lambda i, q, target: target, cfg)
         deficit = 0.0
         for d in decisions:
             deficit += d.actual_bits - cfg.frame_budget
@@ -224,7 +224,7 @@ class TestSecondPass:
     def test_double_spender_matches_independent_recurrence(self):
         cfg = rc.RcConfig(target_bitrate=300_000.0, fps_num=30, resolution=RES_4K)
         records = [rc.FirstPassRecord(i, 32, 10_000.0) for i in range(300)]
-        decisions, summary = rc.run_second_pass(records, lambda d: 2.0 * d.b_prime_p, cfg)
+        decisions, summary = rc.run_second_pass(records, lambda i, q, target: 2.0 * target, cfg)
         # closed-form rerun of the stated recurrence
         b = cfg.frame_budget
         deficit, total = 0.0, 0.0
@@ -244,7 +244,7 @@ class TestSecondPass:
     def test_single_frame_identity(self):
         cfg = cfg_4k()
         records = [rc.FirstPassRecord(0, 32, cfg.frame_budget)]
-        decisions, _ = rc.run_second_pass(records, lambda d: d.b_prime_p, cfg)
+        decisions, _ = rc.run_second_pass(records, lambda i, q, target: target, cfg)
         assert decisions[0].q_prime_p == 32
 
     def test_deficit_accounting_invariant(self, rng):
@@ -270,18 +270,18 @@ class TestSecondPass:
 
         calls = {"n": 0}
 
-        def flaky(decision):
+        def flaky(frame_index, q, target_bits):
             calls["n"] += 1
-            if decision.frame_index == 3:
+            if frame_index == 3:
                 raise RuntimeError("disk full")
-            return decision.b_prime_p
+            return target_bits
 
         with pytest.raises(rc.EncoderError, match="frame 3"):
             rc.run_second_pass(records, flaky, cfg)
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError, match="no first-pass records"):
-            rc.run_second_pass([], lambda d: 1.0, cfg_4k())
+            rc.run_second_pass([], lambda i, q, target: 1.0, cfg_4k())
 
     def test_closed_loop_with_oracle_within_one_percent(self, rng):
         params = sim.SimParams(kappa=1.0)
@@ -303,14 +303,14 @@ class TestSummary:
     def test_exact_budget_zero(self):
         cfg = self._cfg(1000.0)
         records = [rc.FirstPassRecord(i, 32, 1000.0) for i in range(10)]
-        decisions, summary = rc.run_second_pass(records, lambda d: 1000.0, cfg)
+        decisions, summary = rc.run_second_pass(records, lambda i, q, target: 1000.0, cfg)
         assert summary["bitrate_deviation"] == 0.0
         assert [d.deficit for d in decisions] == [0.0] * 10
 
     def test_one_double_frame_among_hundred(self):
         cfg = self._cfg(1000.0)
         records = [rc.FirstPassRecord(i, 32, 1000.0) for i in range(100)]
-        spend = lambda d: 2000.0 if d.frame_index == 99 else 1000.0
+        spend = lambda i, q, target: 2000.0 if i == 99 else 1000.0
         decisions, summary = rc.run_second_pass(records, spend, cfg)
         assert summary["bitrate_deviation"] == pytest.approx(0.01, abs=1e-14)
         assert decisions[-1].deficit == 1000.0
@@ -318,8 +318,8 @@ class TestSummary:
     def test_empty_trace_error(self):
         calls = []
 
-        def encoder(decision):
-            calls.append(decision)
+        def encoder(*args):
+            calls.append(args)
             return 1000.0
 
         with pytest.raises(ValueError, match="no first-pass records"):
