@@ -227,10 +227,10 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
     cell = np.empty(k, dtype=np.intp)
     cell[by_width] = row_start
     dest = cell[seg] + offset
-    tables = []
+    width_tables = []
     for w in np.unique(row_width).tolist():
         r0, r1 = np.searchsorted(row_width, [w, w + 1]).tolist()
-        tables.append((slice(int(row_start[r0]), int(row_start[r0]) + (r1 - r0) * w), w))
+        width_tables.append((slice(int(row_start[r0]), int(row_start[r0]) + (r1 - r0) * w), w))
     table = np.zeros(int(row_width.sum()))
     prefix = np.empty(table.size)
     # The gain of the cut after offset i of a node of n samples: the sum
@@ -249,7 +249,7 @@ def _level_splits(ranks: np.ndarray, bits: int, samples: np.ndarray, counts: np.
         key = np.sort((ranks[c][samples] << shift) + base)
         at = first + (key & mask)
         table[dest] = centred[at]
-        for rows, w in tables:
+        for rows, w in width_tables:
             np.cumsum(table[rows].reshape(-1, w), axis=1, out=prefix[rows].reshape(-1, w))
         # No cut after a node's last sample or between equal ranks.
         blocked = last.copy()
@@ -323,9 +323,10 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
     to the range of those leaf values so that rounding cannot leave it."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rows = np.arange(X.shape[0])
-    leaves = np.empty((len(model.trees), X.shape[0]))
     total = np.zeros(X.shape[0])
-    for t, tree in enumerate(model.trees):
+    lo = np.full(X.shape[0], np.inf)
+    hi = np.full(X.shape[0], -np.inf)
+    for tree in model.trees:
         # The k-th split node's left child is at 1 + 2k. Children are later
         # slots (load checks it), so every row reaches a leaf within
         # n_nodes steps.
@@ -341,9 +342,11 @@ def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
                 break
             go_left = X[rows, np.where(active, feat, 0)] <= value[idx]
             idx = np.where(active, left[idx] + ~go_left, idx)
-        leaves[t] = value[idx]
-        total += leaves[t]
-    return np.clip(total / len(model.trees), leaves.min(axis=0), leaves.max(axis=0))
+        leaf = value[idx]
+        total += leaf
+        np.minimum(lo, leaf, out=lo)
+        np.maximum(hi, leaf, out=hi)
+    return np.clip(total / len(model.trees), lo, hi)
 
 
 def predict(model: ForestModel, features: FrameFeatures, q: int) -> float:

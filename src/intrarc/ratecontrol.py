@@ -9,6 +9,12 @@ target) to the encode QP through the logarithmic R-QP model
 
 followed by a resolution-weighted pull toward q_start on the high-rate
 side, and charges the frame's actual spend back into the deficit.
+
+An encoder is a callable `encoder(frame_index, q, target_bits) -> bits`.
+It encodes the frame at QP q, may read the frame's bit target, and
+returns the bits it spent. A spend must be a finite bit count in
+`tables.BITS`, [1, 2^53]; any other spend, like an exception raised by
+the encoder, is an EncoderError naming the frame.
 """
 
 from __future__ import annotations
@@ -164,7 +170,8 @@ def run_second_pass(records: Sequence[FirstPassRecord],
     """Sequentially encode all frames under deficit compensation.
 
     Returns the per-frame decision trace and a summary dict. An encoder
-    failure raises EncoderError naming the frame.
+    failure, or a spend outside [1, 2^53] bits, raises EncoderError
+    naming the frame.
     """
     if not records:
         raise ValueError("no first-pass records")
@@ -178,6 +185,9 @@ def run_second_pass(records: Sequence[FirstPassRecord],
             actual = float(encoder(rec.frame_index, q_prime, b_prime))
         except Exception as exc:
             raise EncoderError(f"encoder failed at frame {rec.frame_index}: {exc}") from exc
+        if not tables.BITS.lo <= actual <= tables.BITS.hi:
+            raise EncoderError(f"encoder spent {actual!r} bits at frame {rec.frame_index}, "
+                               "expected a finite count in [1, 2^53]")
         deficit += actual - b_base
         decisions.append(FrameDecision(rec.frame_index, rec.q_p, rec.b_hat_p, b_prime,
                                        q_bar, q_prime, actual, deficit))

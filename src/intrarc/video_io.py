@@ -22,6 +22,11 @@ class VideoFormatError(ValueError):
 
 
 _Y4M_MAGIC = b"YUV4MPEG2"
+# Longest stream or FRAME header line read, its newline included. Real
+# headers take well under 200 bytes; the limit keeps a corrupt file with
+# no newline from being read whole into one line.
+Y4M_LINE_MAX = 4096
+_QUOTE_MAX = 32   # characters of a header token quoted in an error
 # Chroma siting variants of 4:2:0 are not distinguished downstream.
 _CHROMA_TAGS = {
     "420": "420",
@@ -131,6 +136,20 @@ def _first_token(line: bytes) -> bytes:
     return line.rstrip(b"\n").partition(b" ")[0]
 
 
+def _cut(token: str) -> str:
+    """A header token for an error message: its first _QUOTE_MAX characters."""
+    return token if len(token) <= _QUOTE_MAX else token[:_QUOTE_MAX] + "..."
+
+
+def _header_line(fh, what: str) -> bytes:
+    """The next header line, read to its newline, to the end of the file or
+    to Y4M_LINE_MAX bytes, whichever comes first; the last is an error."""
+    line = fh.readline(Y4M_LINE_MAX)
+    if len(line) == Y4M_LINE_MAX and not line.endswith(b"\n"):
+        raise VideoFormatError(f"{what} longer than {Y4M_LINE_MAX} bytes")
+    return line
+
+
 def _parse_y4m_header(line: bytes) -> VideoGeometry:
     if _first_token(line) != _Y4M_MAGIC:
         raise VideoFormatError("missing YUV4MPEG2 signature")
@@ -148,16 +167,16 @@ def _parse_y4m_header(line: bytes) -> VideoGeometry:
                 fps_num, fps_den = int(num), int(den)
             elif key == "I":
                 if val != "p":
-                    raise VideoFormatError(f"interlaced input (I{val}) not supported")
+                    raise VideoFormatError(f"interlaced input ({_cut(token)}) not supported")
             elif key == "C":
                 if val not in _CHROMA_TAGS:
-                    raise VideoFormatError(f"unsupported chroma tag C{val}")
+                    raise VideoFormatError(f"unsupported chroma tag {_cut(token)}")
                 chroma = _CHROMA_TAGS[val]
             # A (aspect) and X (extension) tokens carry nothing we use.
         except VideoFormatError:
             raise
         except ValueError as exc:
-            raise VideoFormatError(f"malformed header token {token!r}") from exc
+            raise VideoFormatError(f"malformed header token {_cut(token)!r}") from exc
     if width is None or height is None or fps_num is None:
         raise VideoFormatError("header must carry W, H and F tokens")
     return VideoGeometry(
@@ -174,12 +193,12 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
     of the offending frame.
     """
     with tables.naming(path), open(path, "rb") as fh:
-        geometry = _parse_y4m_header(fh.readline().rstrip(b"\n"))
+        geometry = _parse_y4m_header(_header_line(fh, "stream header").rstrip(b"\n"))
         nbytes = geometry.frame_bytes()
         size = os.fstat(fh.fileno()).st_size
         index = 0
         while True:
-            marker = fh.readline()
+            marker = _header_line(fh, f"FRAME header before frame {index}")
             if marker == b"":
                 return
             if _first_token(marker) != b"FRAME":

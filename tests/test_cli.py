@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import zlib
 
@@ -90,6 +91,28 @@ class TestAnalyze:
         assert proc.returncode == 3, proc.stderr
         assert "(0 of 6442450944 bytes)" in proc.stderr
 
+    @pytest.mark.parametrize("tail, message", [
+        (b" X", "stream header longer than 4096 bytes"),
+        (b"\nFRAME\n" + bytes(6144) + b"FRAME X", "FRAME header before frame 1 longer than 4096 bytes"),
+    ], ids=["stream header", "FRAME header"])
+    def test_newline_free_header_line_is_short_data_error(self, tmp_path, y4m_file, capsys,
+                                                           tail, message):
+        """A header line with no newline was once read whole: 4 MB of it
+        held 4 MB or more, and 8 MB of input took about twice that."""
+        clip = tmp_path / "long.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W64 H64 F30:1 Ip C420" + tail + b"a" * (4 << 20))
+        assert run("analyze", "--input", y4m_file, "--out", tmp_path / "warm.csv") == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run("analyze", "--input", clip, "--out", tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {clip}: {message}\n"
+        assert peak < 1 << 20
+
 
 def analyze_capped(argv):
     """`intrarc analyze` in a fresh interpreter whose address space is capped
@@ -131,7 +154,9 @@ def _flawed(draw, fields: dict, flaws: dict) -> dict:
 
 @st.composite
 def y4m_clip(draw):
-    """Y4M bytes: header tokens valid or not, FRAME markers, short and long payloads."""
+    """Y4M bytes: header tokens valid or not, FRAME markers, short and long payloads,
+    header lines without a newline or past Y4M_LINE_MAX; and whether the
+    stream header is past that limit, which makes the clip a data error."""
     fields = _flawed(draw, {
         "magic": "YUV4MPEG2", "W": draw(SIDES), "H": draw(SIDES), "F": "F30:1", "I": "Ip",
         "C": draw(st.sampled_from(["C420", "C420jpeg", "Cmono"])),
@@ -145,16 +170,18 @@ def y4m_clip(draw):
     })
     magic, width, height, *rest = fields.values()
     tokens = [magic, f"W{width}", f"H{height}", *rest, "A1:1", "XYSCSS=420", "\xff"]
-    data = " ".join(tokens).encode("latin-1") + b"\n"
+    long_line = b" X" + b"a" * vio.Y4M_LINE_MAX + b"\n"
+    end = draw(st.sampled_from([b"\n"] * 4 + [b"", long_line]))
+    data = " ".join(tokens).encode("latin-1") + end
     if isinstance(width, int) and isinstance(height, int):
         frame = width * height * (2 if fields["C"] == "Cmono" else 3) // 2
     else:
         frame = 0
     for _ in range(draw(st.integers(0, 3))):
         data += draw(st.sampled_from([b"FRAME\n"] * 3 + [b"FRAME Ixyz\n", b"FRAM\n", b"FRAMEX\n",
-                                                         b""]))
+                                                         b"", b"FRAME", b"FRAME" + long_line]))
         data += _payload(draw, _size(draw, frame))
-    return data[:MAX_CLIP_BYTES], []
+    return data[:MAX_CLIP_BYTES], [], end == long_line
 
 
 @st.composite
@@ -173,14 +200,14 @@ def raw_clip(draw):
         geometry = draw(st.text(alphabet="0123456789x:-_ 420", max_size=16))
     frame = width * height * (3 if chroma == "420" else 2) // 2 * (1 if depth == 8 else 2)
     flags = draw(st.sampled_from([["--raw-geometry", geometry]] * 3 + [[]]))
-    return _payload(draw, _size(draw, frame)), flags
+    return _payload(draw, _size(draw, frame)), flags, False
 
 
 class TestAnalyzeInputs:
     @settings(max_examples=20, deadline=None)
     @given(clip=st.one_of(y4m_clip(), raw_clip()), threads=st.integers(1, 4))
     def test_any_clip_exits_with_a_documented_code(self, tmp_path_factory, clip, threads):
-        data, flags = clip
+        data, flags, long_header = clip
         root = tmp_path_factory.mktemp("analyze_inputs")
         (root / "clip").write_bytes(data)
         proc = analyze_capped(["--input", root / "clip", *flags, "--threads", threads,
@@ -189,6 +216,8 @@ class TestAnalyzeInputs:
         assert "Traceback" not in proc.stderr
         if proc.returncode == 3:
             assert proc.stderr.startswith(f"error: {root / 'clip'}: "), proc.stderr
+            assert len(proc.stderr) < len(f"error: {root / 'clip'}: ") + 120, proc.stderr
+        assert proc.returncode == 3 or not long_header, proc.stderr
         assert (root / "f.csv").exists() == (proc.returncode == 0)
 
 
@@ -1003,6 +1032,13 @@ class TestDataErrorsNameTheFile:
                      "missing YUV4MPEG2 signature", id="y4m signature YUV4MPEG2X"),
         pytest.param(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\nFRAMEXYZ\n" + bytes(6144), [],
                      "bad FRAME marker before frame 0", id="y4m marker FRAMEXYZ"),
+        pytest.param(b"YUV4MPEG2 W64 H" + b"x" * 3000 + b" F30:1\n", [],
+                     "malformed header token 'H" + "x" * 31 + "...'", id="y4m long bad token"),
+        pytest.param(b"YUV4MPEG2 W64 H64 F30:1 C" + b"4" * 3000 + b"\n", [],
+                     "unsupported chroma tag C" + "4" * 31 + "...", id="y4m long chroma tag"),
+        pytest.param(b"YUV4MPEG2 W64 H64 F30:1 I" + b"t" * 3000 + b"\n", [],
+                     "interlaced input (I" + "t" * 31 + "...) not supported",
+                     id="y4m long interlace tag"),
         pytest.param(b"", ["--raw-geometry", "64x64:8:420"],
                      "no frames in input stream", id="empty raw"),
         pytest.param(np.full(6144, 1024, "<u2").tobytes(), ["--raw-geometry", "64x64:10:420"],

@@ -279,6 +279,24 @@ class TestSecondPass:
         with pytest.raises(rc.EncoderError, match="frame 3"):
             rc.run_second_pass(records, flaky, cfg)
 
+    @pytest.mark.parametrize("spend", [math.nan, math.inf, -math.inf, -5000.0, 0.0, 0.5,
+                                       2.0**53 + 2.0, 1e300])
+    def test_spend_outside_bits_range_raises_encoder_error(self, spend):
+        """A NaN, infinite, negative, sub-bit or over-2^53 spend once went
+        into the deficit and the report as it was."""
+        cfg = cfg_4k()
+        records = [rc.FirstPassRecord(i, 32, cfg.frame_budget) for i in range(5)]
+        encoder = lambda i, q, target: spend if i == 2 else target
+        with pytest.raises(rc.EncoderError, match=r"frame 2, expected a finite count"):
+            rc.run_second_pass(records, encoder, cfg)
+
+    @pytest.mark.parametrize("spend", [1.0, 2.0**53])
+    def test_spend_at_bits_range_ends_is_accepted(self, spend):
+        cfg = cfg_4k()
+        records = [rc.FirstPassRecord(i, 32, cfg.frame_budget) for i in range(3)]
+        decisions, _ = rc.run_second_pass(records, lambda i, q, target: spend, cfg)
+        assert [d.actual_bits for d in decisions] == [spend] * 3
+
     def test_empty_records_error(self):
         with pytest.raises(ValueError, match="no first-pass records"):
             rc.run_second_pass([], lambda i, q, target: 1.0, cfg_4k())

@@ -58,6 +58,29 @@ class TestY4m:
         with pytest.raises(vio.VideoFormatError, match="interlaced"):
             list(vio.open_y4m(str(path)))
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("where", ["stream", "frame"])
+    def test_header_line_limit(self, tmp_path, where, extra):
+        """A header line of up to Y4M_LINE_MAX bytes, its newline included,
+        is read with the parameters after its first space; one byte more is
+        a data error."""
+        def padded(head):
+            return head + b" X" + b"a" * (vio.Y4M_LINE_MAX - len(head) - 3 + extra) + b"\n"
+
+        header, marker = b"YUV4MPEG2 W64 H64 F30:1 Ip C420", b"FRAME"
+        if where == "stream":
+            header, marker = padded(header), marker + b"\n"
+        else:
+            header, marker = header + b"\n", padded(marker)
+        path = tmp_path / "edge.y4m"
+        path.write_bytes(header + marker + bytes(6144))
+        if extra:
+            with pytest.raises(vio.VideoFormatError,
+                               match=f"longer than {vio.Y4M_LINE_MAX} bytes"):
+                list(vio.open_y4m(str(path)))
+        else:
+            assert len(list(vio.open_y4m(str(path)))) == 1
+
     def test_mono_has_empty_chroma(self, tmp_path, rng):
         path = tmp_path / "mono.y4m"
         y = rng.integers(0, 256, 64 * 64, dtype=np.uint8).tobytes()
