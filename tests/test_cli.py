@@ -93,12 +93,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("tail, message", [
         (b" X", "stream header longer than 4096 bytes"),
-        (b"\nFRAME\n" + bytes(6144) + b"FRAME X", "FRAME header before frame 1 longer than 4096 bytes"),
+        (b"\nFRAME\n" + bytes(6144) + b"FRAME X",
+         "FRAME header before frame 1 longer than 4096 bytes"),
     ], ids=["stream header", "FRAME header"])
     def test_newline_free_header_line_is_short_data_error(self, tmp_path, y4m_file, capsys,
                                                            tail, message):
-        """A header line with no newline was once read whole: 4 MB of it
-        held 4 MB or more, and 8 MB of input took about twice that."""
+        """A header line with no newline was once read whole: one of 4 MB
+        peaked at 8.6-13.5 MB of traced memory."""
         clip = tmp_path / "long.y4m"
         clip.write_bytes(b"YUV4MPEG2 W64 H64 F30:1 Ip C420" + tail + b"a" * (4 << 20))
         assert run("analyze", "--input", y4m_file, "--out", tmp_path / "warm.csv") == 0
