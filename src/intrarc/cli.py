@@ -168,23 +168,21 @@ def cmd_train(args) -> int:
                                   seed=args.seed)
     train = slice(None)   # without --holdout every row trains: a view, not a copy of X
     holdout_stats = None
-    if args.holdout is not None:
-        perm = np.random.default_rng(args.seed).permutation(len(y))
-        n_test = max(1, int(round(args.holdout * len(y))))
-        test, train = perm[:n_test], perm[n_test:]
-        if train.size < hp.min_samples_split:
-            raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} "
-                             f"rows of {args.data}, leaving {train.size} to train on; training "
-                             f"needs at least {hp.min_samples_split}")
-        ss_tot = float(np.sum((y[test] - y[test].mean()) ** 2))
-        if ss_tot == 0.0:
-            raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
-                             "rows have zero variance; hold out more rows")
-    elif len(y) < hp.min_samples_split:
-        raise ValueError(f"{args.data} has {len(y)} row to train on; training needs "
-                         f"at least {hp.min_samples_split}")
-    n_train = len(y[train])
-    model = forest.train_arrays(X[train], y[train], hp, threads=args.threads)
+    with tables.naming(args.data):   # train_arrays raises "1 row to train on"
+        if args.holdout is not None:
+            perm = np.random.default_rng(args.seed).permutation(len(y))
+            n_test = max(1, int(round(args.holdout * len(y))))
+            test, train = perm[:n_test], perm[n_test:]
+            if train.size < hp.min_samples_split:
+                raise UsageError(f"--holdout {args.holdout} holds out {n_test} of the {len(y)} "
+                                 f"rows of {args.data}, leaving {train.size} to train on; "
+                                 f"training needs at least {hp.min_samples_split}")
+            ss_tot = float(np.sum((y[test] - y[test].mean()) ** 2))
+            if ss_tot == 0.0:
+                raise ValueError(f"holdout R2 is undefined: the bits of the {n_test} held-out "
+                                 "rows have zero variance; hold out more rows")
+        n_train = len(y[train])
+        model = forest.train_arrays(X[train], y[train], hp, threads=args.threads)
     if args.holdout is not None:
         resid = y[test] - forest.predict_batch(model, X[test])
         holdout_stats = {

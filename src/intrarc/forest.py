@@ -291,9 +291,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray,
     if X.ndim != 2 or X.shape[1] != N_FEATURES or y.shape != (X.shape[0],):
         raise ValueError(f"expected X of shape (n, {N_FEATURES}) and matching y")
     if X.shape[0] < hp.min_samples_split:
-        raise ValueError(
-            f"need at least min_samples_split={hp.min_samples_split} samples, got {X.shape[0]}"
-        )
+        raise ValueError(f"{X.shape[0]} row to train on; training needs at least "
+                         f"{hp.min_samples_split}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data contains non-finite values")
     if ((y < tables.BITS.lo) | (y > tables.BITS.hi)).any():

@@ -31,7 +31,7 @@ class OverlapError(ValueError):
 @dataclass(frozen=True)
 class RdCurve:
     rates: tuple[float, ...]  # bits per second, strictly increasing
-    psnrs: tuple[float, ...]  # dB, non-decreasing
+    psnrs: tuple[float, ...]  # dB, strictly increasing
 
     def __post_init__(self):
         for rate, psnr in zip(self.rates, self.psnrs, strict=True):
@@ -43,8 +43,15 @@ class RdCurve:
             raise ValueError(f"an RD curve needs >= 4 points, got {len(self.rates)}")
         if any(b >= a for b, a in zip(self.rates, self.rates[1:])):
             raise ValueError("bitrates must be strictly increasing")
-        if any(b > a for b, a in zip(self.psnrs, self.psnrs[1:])):
-            raise ValueError("psnr must be non-decreasing with bitrate")
+        if any(b >= a for b, a in zip(self.psnrs, self.psnrs[1:])):
+            raise ValueError("psnr must be strictly increasing with bitrate")
+        x, y = np.array(self.psnrs), np.log10(self.rates)
+        with np.errstate(over="ignore"):
+            slopes = np.diff(y) / np.diff(x)
+        if not np.isfinite(slopes).all():
+            i = int(np.argmin(np.isfinite(slopes)))
+            raise ValueError(f"log-rate slopes must be finite, but log10(rate) rises by "
+                             f"{y[i + 1] - y[i]:.3g} between PSNR {x[i]:g} and {x[i + 1]:g}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "RdCurve":
@@ -74,26 +81,6 @@ def _pchip_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float
     return float(whole[ij[0]:ij[1]].sum() - p[0] + p[1])
 
 
-def _log_rate_integral(curve: RdCurve, name: str, lo: float, hi: float) -> float:
-    """Integral of the curve's PCHIP of log10(rate) over PSNR from lo to hi."""
-    x = np.array(curve.psnrs)
-    y = np.log10(curve.rates)
-    if (x[1:] <= x[:-1]).any():
-        raise ValueError(f"{name} curve: BD-rate needs strictly increasing PSNR")
-    with np.errstate(over="ignore"):
-        slopes = np.diff(y) / np.diff(x)
-    if not np.isfinite(slopes).all():
-        i = int(np.argmin(np.isfinite(slopes)))
-        raise ValueError(f"{name} curve: BD-rate needs finite log-rate slopes, but log10(rate) "
-                         f"rises by {y[i + 1] - y[i]:.3g} between PSNR {x[i]:g} and {x[i + 1]:g}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _pchip_integral(x, y, lo, hi)
-    except FloatingPointError:
-        raise ValueError(f"{name} curve: PSNR {x[0]:g} to {x[-1]:g} is too wide a span "
-                         "for a finite BD-rate interpolation") from None
-
-
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
     """Average bitrate difference of `test` against `anchor`, in percent."""
     return bd_report(anchor, test)["bd_rate_percent"]
@@ -105,8 +92,16 @@ def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
     if hi <= lo:
         raise OverlapError(f"no PSNR overlap: anchor {(anchor.psnrs[0], anchor.psnrs[-1])}, "
                            f"test {(test.psnrs[0], test.psnrs[-1])}")
-    ia = _log_rate_integral(anchor, "anchor", lo, hi)
-    it = _log_rate_integral(test, "test", lo, hi)
+    integrals = []
+    for name, curve in (("anchor", anchor), ("test", test)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                integrals.append(_pchip_integral(np.array(curve.psnrs), np.log10(curve.rates),
+                                                 lo, hi))
+        except FloatingPointError:
+            raise ValueError(f"{name} curve: PSNR {curve.psnrs[0]:g} to {curve.psnrs[-1]:g} "
+                             "is too wide a span for a finite BD-rate interpolation") from None
+    ia, it = integrals
     offset = (it - ia) / float(hi - lo)  # a Python float: ** raises OverflowError, never warns
     try:
         rate = 100.0 * (10.0 ** offset - 1.0)

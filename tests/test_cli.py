@@ -324,8 +324,9 @@ class TestTrain:
                                                                    seed=3))
         assert run("train", "--data", path, "--trees", 2, "--holdout", 0.1,
                    "--out", tmp_path / "m.ircf") == 3
-        assert "holdout R2 is undefined: the bits of the 1 held-out rows have zero variance" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: holdout R2 is undefined: the bits of the 1 held-out rows have "
+            "zero variance")
 
     def test_one_row_table_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -333,8 +334,8 @@ class TestTrain:
                                                                    seed=3))
         out = tmp_path / "m.ircf"
         assert run("train", "--data", path, "--trees", 2, "--out", out) == 3
-        assert f"{path} has 1 row to train on; training needs at least 2" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: {path}: 1 row to train on; training needs at least 2\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("holdout, n_test", [(0.96, 10), (0.9, 9)])
@@ -818,7 +819,7 @@ class TestBdrate:
 
     @pytest.mark.parametrize("psnrs, message", [
         pytest.param("0 5e-324 1e-323 30",
-                     "test curve: BD-rate needs finite log-rate slopes, but log10(rate) "
+                     "test.csv: log-rate slopes must be finite, but log10(rate) "
                      "rises by 0.301 between PSNR 0 and 4.94066e-324", id="too close"),
         pytest.param("-1e308 0 1 1e308",
                      "test curve: PSNR -1e+308 to 1e+308 is too wide a span", id="too wide"),
@@ -1055,7 +1056,12 @@ class TestDataErrorsNameTheFile:
         pytest.param("1000,30\n2000,33\n4000,36\n",
                      "an RD curve needs >= 4 points, got 3", id="three points"),
         pytest.param("1000,30\n2000,36\n4000,33\n8000,39\n",
-                     "psnr must be non-decreasing with bitrate", id="psnr falls"),
+                     "psnr must be strictly increasing with bitrate", id="psnr falls"),
+        pytest.param("1000,30\n2000,33\n4000,33\n8000,39\n",
+                     "psnr must be strictly increasing with bitrate", id="psnr equal"),
+        pytest.param("1000,0\n2000,5e-324\n4000,30\n8000,39\n",
+                     "log-rate slopes must be finite, but log10(rate) rises by 0.301 "
+                     "between PSNR 0 and 4.94066e-324", id="log-rate slope infinite"),
     ])
     def test_bdrate(self, tmp_path, capsys, rows, message):
         anchor, _ = _write_curves(tmp_path, 1.0)

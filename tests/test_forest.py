@@ -141,7 +141,7 @@ class TestTraining:
             forest.train_arrays(X, y)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError, match="min_samples_split"):
+        with pytest.raises(ValueError, match="^1 row to train on; training needs at least 2$"):
             forest.train_arrays(np.ones((1, 7)), np.ones(1))
 
     def test_nonpositive_bits_rejected(self):

@@ -26,8 +26,19 @@ class TestRdCurve:
             metrics.RdCurve.from_pairs([(1e6, 30), (1e6, 33), (3e6, 36), (4e6, 39)])
 
     def test_rejects_decreasing_psnr(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(ValueError, match="^psnr must be strictly increasing with bitrate$"):
             metrics.RdCurve.from_pairs([(1e6, 30), (2e6, 29), (3e6, 36), (4e6, 39)])
+
+    def test_rejects_equal_psnrs(self):
+        with pytest.raises(ValueError, match="^psnr must be strictly increasing with bitrate$"):
+            metrics.RdCurve.from_pairs([(1e6, 30), (2e6, 33), (3e6, 33), (4e6, 39)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_finite_log_rate_slope(self):
+        """PSNRs one subnormal apart make log10(rate) rise faster than a float holds."""
+        with pytest.raises(ValueError, match=r"^log-rate slopes must be finite, but log10\(rate\) "
+                           r"rises by 0\.301 between PSNR 0 and 4\.94066e-324$"):
+            metrics.RdCurve.from_pairs([(1e6, 0.0), (2e6, 5e-324), (4e6, 30), (8e6, 39)])
 
     def test_csv_round_trip(self, tmp_path):
         curve = sim_curve()
@@ -145,9 +156,9 @@ def test_log_rate_integral_matches_scipy_pchip(curves):
     anchor, test = curves
     lo = max(anchor.psnrs[0], test.psnrs[0])
     hi = min(anchor.psnrs[-1], test.psnrs[-1])
-    for name, curve in (("anchor", anchor), ("test", test)):
-        assert metrics._log_rate_integral(curve, name, lo, hi) == pytest.approx(
-            _scipy_integral(curve, lo, hi), rel=1e-11, abs=0)
+    for curve in curves:
+        integral = metrics._pchip_integral(np.array(curve.psnrs), np.log10(curve.rates), lo, hi)
+        assert integral == pytest.approx(_scipy_integral(curve, lo, hi), rel=1e-11, abs=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -205,7 +216,9 @@ def test_bd_rate_is_the_reports_value(curves):
 def _faults(pairs):
     """Every fault of an RD curve, in the order RdCurve reports them: each point in
     rate order (a rate <= 0, then a non-finite PSNR), then fewer than 4 points,
-    rates not strictly increasing and PSNR falling."""
+    rates not strictly increasing, PSNR not strictly increasing and a log-rate
+    slope that is not finite. The last is listed by its rule alone: it is never
+    the first of two faults."""
     ordered = sorted(pairs)
     faults = []
     for rate, psnr in ordered:
@@ -218,8 +231,12 @@ def _faults(pairs):
     rates, psnrs = [r for r, _ in ordered], [p for _, p in ordered]
     if any(b >= a for b, a in zip(rates, rates[1:])):
         faults.append("bitrates must be strictly increasing")
-    if any(b > a for b, a in zip(psnrs, psnrs[1:])):
-        faults.append("psnr must be non-decreasing with bitrate")
+    if any(b >= a for b, a in zip(psnrs, psnrs[1:])):
+        faults.append("psnr must be strictly increasing with bitrate")
+    with np.errstate(all="ignore"):
+        slopes = np.diff(np.log10(rates)) / np.diff(psnrs)
+    if not np.isfinite(slopes).all():
+        faults.append("log-rate slopes must be finite")
     return faults
 
 
@@ -231,6 +248,7 @@ def _faults(pairs):
 @example(pairs=[(1e5, np.nan), (0.0, 30.0), (2e5, 31.0), (4e5, 32.0)])
 @example(pairs=[(1e5, 33.0), (2e5, np.inf), (4e5, 32.0)])
 @example(pairs=[(1e5, 30.0), (1e5, 31.0), (2e5, 29.0), (4e5, 32.0)])
+@example(pairs=[(1e5, 30.0), (2e5, 30.0), (4e5, 31.0), (8e5, 32.0)])
 def test_a_curve_with_two_faults_reports_the_first(pairs):
     faults = _faults(pairs)
     assume(len(set(faults)) >= 2)
