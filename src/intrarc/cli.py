@@ -103,8 +103,10 @@ def _parse_raw_geometry(text: str) -> video_io.VideoGeometry:
 
 
 def _is_y4m(path: str) -> bool:
+    from intrarc import video_io
+
     with open(path, "rb") as fh:
-        return fh.read(9) == b"YUV4MPEG2"
+        return fh.read(len(video_io.Y4M_MAGIC)) == video_io.Y4M_MAGIC
 
 
 def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
@@ -124,6 +126,9 @@ def cmd_analyze(args) -> int:
 
     _check_threads(args.threads)
     if _is_y4m(args.input):
+        if args.raw_geometry is not None:
+            raise UsageError(f"--raw-geometry is for headerless input, but --input "
+                             f"{args.input} is a Y4M file")
         frames = video_io.open_y4m(args.input)
     else:
         if not args.raw_geometry:
@@ -268,7 +273,8 @@ def cmd_rc(args) -> int:
     fps_num, fps_den = _parse_fps(args.fps)
     width, height = _parse_resolution(args.resolution)
     with _flag_values(f"--resolution {args.resolution!r}"):
-        resolution = video_io.VideoGeometry(width=width, height=height)
+        # rc reads only the pixel count, so no chroma layout constrains the size.
+        resolution = video_io.VideoGeometry(width=width, height=height, chroma_format="400")
     with _flag_values(f"--bitrate {args.bitrate} --fps {args.fps!r}"):
         cfg = rc.RcConfig(target_bitrate=args.bitrate, fps_num=fps_num, fps_den=fps_den,
                           resolution=resolution)
@@ -277,6 +283,8 @@ def cmd_rc(args) -> int:
     rows = feat.read_features_csv(args.features)
 
     if args.first_pass == "noise":
+        if args.model is not None:
+            raise UsageError("--model is not read with --first-pass noise; give one or the other")
         noise = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
         records = [replace(r, frame_index=f.frame_index) for r, f in zip(noise, rows)]
     else:

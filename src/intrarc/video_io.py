@@ -21,7 +21,7 @@ class VideoFormatError(ValueError):
     """Malformed or unsupported video input."""
 
 
-_Y4M_MAGIC = b"YUV4MPEG2"
+Y4M_MAGIC = b"YUV4MPEG2"
 # Longest stream or FRAME header line read, its newline included. Real
 # headers take well under 200 bytes; the limit keeps a corrupt file with
 # no newline from being read whole into one line.
@@ -151,7 +151,7 @@ def _header_line(fh, what: str) -> bytes:
 
 
 def _parse_y4m_header(line: bytes) -> VideoGeometry:
-    if _first_token(line) != _Y4M_MAGIC:
+    if _first_token(line) != Y4M_MAGIC:
         raise VideoFormatError("missing YUV4MPEG2 signature")
     width = height = fps_num = fps_den = None
     chroma = "420"

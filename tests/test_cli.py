@@ -589,6 +589,21 @@ class TestRc:
                    "--resolution", "1920x1080", "--trace", tmp_path / "t.csv")
         assert code == 2
 
+    def test_odd_luma_only_size_runs_analyze_to_rc(self, tmp_path, rng):
+        """--resolution is a frame size: an odd one that a 4:0:0 clip has is accepted."""
+        raw = tmp_path / "clip.yuv"
+        vio.write_raw_yuv(str(raw), [make_frame(rng, width=65, chroma="400", index=i)
+                                     for i in range(3)])
+        feats_path = tmp_path / "features.csv"
+        assert run("analyze", "--input", raw, "--raw-geometry", "65x64:8:400",
+                   "--out", feats_path) == 0
+        trace = tmp_path / "trace.csv"
+        assert run("rc", "--features", feats_path, "--first-pass", "noise",
+                   "--bitrate", 1e5, "--resolution", "65x64", "--trace", trace) == 0
+        assert len(rc_mod.read_trace_csv(str(trace))) == 3
+        manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
+        assert manifest["config"]["resolution"] == "65x64"
+
     def test_noise_first_pass_keeps_feature_indices(self, tmp_path):
         feats = sim.random_features(20, np.random.default_rng(3), start_index=5)
         feats_path = tmp_path / "features.csv"
@@ -1279,6 +1294,8 @@ class TestUsage:
          "--raw-geometry '128x64:abc:420' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
         (["analyze", "--input", "{raw}", "--raw-geometry", "128x64:12:420", "--out", "{out}"],
          "--raw-geometry '128x64:12:420': bit depth 12 not in {8, 10}"),
+        (["analyze", "--input", "{y4m}", "--raw-geometry", "1920x1080:10:400", "--out", "{out}"],
+         "--raw-geometry is for headerless input, but --input"),
         (["train", "--data", "{train}", "--trees", 0, "--out", "{out}"],
          "--trees must be at least 1, got 0"),
         (["train", "--data", "{train}", "--max-depth", 0, "--out", "{out}"],
@@ -1290,6 +1307,8 @@ class TestUsage:
         (["predict", "--model", "{model}", "--features", "{feats}", "--qp", 99, "--out", "{out}"],
          "--qp must be in [0, 63], got 99"),
         ([*RC, "--seed", -1], "--seed must be at least 0, got -1"),
+        ([*RC, "--first-pass", "noise"],
+         "--model is not read with --first-pass noise; give one or the other"),
         ([*RC, "--sim-seed", -1], "--sim-noise 0.0 --sim-seed -1: seed=-1 must be >= 0"),
         ([*RC, "--sim-seed", -1, "--sim-noise", 0.1],
          "--sim-noise 0.1 --sim-seed -1: seed=-1 must be >= 0"),
@@ -1309,16 +1328,15 @@ class TestUsage:
         ([*RC, "--fps", "30/0"], "--bitrate 100000.0 --fps '30/0': frame rate must be positive"),
         ([*RC, "--resolution", "32x32"],
          "--resolution '32x32': frame size 32x32 below 64x64 minimum"),
-        ([*RC, "--resolution", "1921x1080"],
-         "--resolution '1921x1080': 4:2:0 requires even width and height"),
         ([*RC, "--resolution", "1" * 400 + "x64"], "above 2^53 samples"),
     ], ids=["raw-geometry-fields", "raw-geometry-number", "raw-geometry-bit-depth",
-            "trees", "max-depth", "seed", "holdout", "qp", "rc-seed", "rc-sim-seed",
+            "raw-geometry-with-y4m", "trees", "max-depth", "seed", "holdout", "qp",
+            "rc-seed", "rc-model-with-noise", "rc-sim-seed",
             "rc-sim-seed-noisy", "rc-sim-noise", "rc-bitrate-zero", "rc-budget-zero",
             "rc-budget-infinite", "rc-budget-above-2^53", "rc-budget-below-one-bit",
             "rc-fps-huge-numerator", "rc-fps-huge-denominator",
             "rc-fps-zero", "rc-fps-zero-denominator", "rc-resolution-small",
-            "rc-resolution-odd", "rc-resolution-huge"])
+            "rc-resolution-huge"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, y4m_file, training_csv, rng,
                                            capsys, argv, message):
         raw = tmp_path / "clip.yuv"
