@@ -157,7 +157,9 @@ def _flawed(draw, fields: dict, flaws: dict) -> dict:
 def y4m_clip(draw):
     """Y4M bytes: header tokens valid or not, FRAME markers, short and long payloads,
     header lines without a newline or past Y4M_LINE_MAX; and whether the
-    stream header is past that limit, which makes the clip a data error."""
+    clip is a Y4M file whose stream header is past that limit, which makes it a
+    data error. A clip without the signature is headerless input, so without
+    --raw-geometry it is a usage error whatever its header length."""
     fields = _flawed(draw, {
         "magic": "YUV4MPEG2", "W": draw(SIDES), "H": draw(SIDES), "F": "F30:1", "I": "Ip",
         "C": draw(st.sampled_from(["C420", "C420jpeg", "Cmono"])),
@@ -182,7 +184,7 @@ def y4m_clip(draw):
         data += draw(st.sampled_from([b"FRAME\n"] * 3 + [b"FRAME Ixyz\n", b"FRAM\n", b"FRAMEX\n",
                                                          b"", b"FRAME", b"FRAME" + long_line]))
         data += _payload(draw, _size(draw, frame))
-    return data[:MAX_CLIP_BYTES], [], end == long_line
+    return data[:MAX_CLIP_BYTES], [], end == long_line and data.startswith(vio.Y4M_MAGIC)
 
 
 @st.composite
