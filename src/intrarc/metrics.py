@@ -37,6 +37,8 @@ class RdCurve:
         for rate, psnr in zip(self.rates, self.psnrs, strict=True):
             if rate <= 0:
                 raise ValueError("bitrate must be positive")
+            if not math.isfinite(rate):
+                raise ValueError("bitrate must be finite")
             if not math.isfinite(psnr):
                 raise ValueError("psnr must be finite")
         if len(self.rates) < 4:

@@ -4,11 +4,18 @@ Only progressive 4:2:0 and 4:0:0 (luma-only) layouts are supported, at
 8 or 10 bits per sample. 10-bit raw input stores two bytes per sample,
 little-endian. Frames are yielded in display order with indices counted
 from 0.
+
+The readers yield `FileFrame`s, which hold the open file and where each
+plane starts rather than the samples; analysis reads each plane by
+bands (`bands`), so a frame in flight costs no sample memory. In-memory
+`PlanarFrame`s go through the same bands, as slices of their planes.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +34,10 @@ Y4M_MAGIC = b"YUV4MPEG2"
 # no newline from being read whole into one line.
 Y4M_LINE_MAX = 4096
 _QUOTE_MAX = 32   # characters of a header token quoted in an error
+# Most bytes of a plane read at once: a band is whole units of rows
+# (block rows for analysis) of at most this size, or a single unit
+# where one unit is larger.
+BAND_BYTES = 1 << 20
 # Chroma siting variants of 4:2:0 are not distinguished downstream.
 _CHROMA_TAGS = {
     "420": "420",
@@ -72,17 +83,35 @@ class VideoGeometry:
     def max_sample(self) -> int:
         return (1 << self.bit_depth) - 1
 
+    @property
+    def dtype(self) -> np.dtype:
+        """A sample as a file stores it: one byte, or two little-endian bytes above 8 bits."""
+        return np.dtype(np.uint8) if self.bit_depth == 8 else np.dtype("<u2")
+
+    def plane_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(rows, columns) of the Y, U and V planes; a 4:0:0 frame's chroma is 0 x 0."""
+        chroma = (self.height // 2, self.width // 2) if self.chroma_format == "420" else (0, 0)
+        return (self.height, self.width), chroma, chroma
+
     def plane_samples(self) -> tuple[int, int]:
         """(luma samples, chroma samples per plane) for one frame."""
-        luma = self.width * self.height
-        chroma = (self.width // 2) * (self.height // 2) if self.chroma_format == "420" else 0
-        return luma, chroma
+        (h, w), (ch, cw), _ = self.plane_shapes()
+        return h * w, ch * cw
 
     def frame_bytes(self) -> int:
         """Byte size of one frame's payload in planar layout."""
         luma, chroma = self.plane_samples()
-        per_sample = 1 if self.bit_depth == 8 else 2
-        return (luma + 2 * chroma) * per_sample
+        return (luma + 2 * chroma) * self.dtype.itemsize
+
+
+def _check_range(samples: np.ndarray, hi: int, index: int) -> None:
+    """Reject integer samples outside [0, hi]. A scan that the dtype already
+    rules out is skipped: uint8 at 8 bits needs neither, any other unsigned
+    type no minimum."""
+    bounds = np.iinfo(samples.dtype)
+    if ((bounds.max > hi and int(samples.max()) > hi)
+            or (bounds.min < 0 and int(samples.min()) < 0)):
+        raise VideoFormatError(f"frame {index}: sample outside [0, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -106,29 +135,119 @@ class PlanarFrame:
                 raise VideoFormatError(
                     f"frame {self.index}: {name} plane has {plane.size} samples, expected {chroma}"
                 )
-        hi = self.geometry.max_sample
         for plane in (self.y_plane, self.u_plane, self.v_plane):
             if plane.size:
                 if plane.dtype.kind not in "ui":
                     raise VideoFormatError(
                         f"frame {self.index}: samples of type {plane.dtype}, not integers")
-                # A scan that the dtype already rules out is skipped: uint8 at
-                # 8 bits needs neither, any other unsigned type no minimum.
-                bounds = np.iinfo(plane.dtype)
-                if ((bounds.max > hi and int(plane.max()) > hi)
-                        or (bounds.min < 0 and int(plane.min()) < 0)):
-                    raise VideoFormatError(f"frame {self.index}: sample outside [0, {hi}]")
+                _check_range(plane, self.geometry.max_sample, self.index)
             plane.setflags(write=False)
 
+    def planes(self) -> tuple[np.ndarray, ...]:
+        """The Y, U and V planes as 2-D arrays."""
+        return tuple(plane.reshape(shape) for plane, shape in
+                     zip((self.y_plane, self.u_plane, self.v_plane), self.geometry.plane_shapes()))
 
-def _split_planes(payload: bytes, geometry: VideoGeometry, index: int) -> PlanarFrame:
-    dtype = np.uint8 if geometry.bit_depth == 8 else np.dtype("<u2")
-    samples = np.frombuffer(payload, dtype=dtype)
-    luma, chroma = geometry.plane_samples()
-    y = samples[:luma]
-    u = samples[luma:luma + chroma]
-    v = samples[luma + chroma:luma + 2 * chroma]
-    return PlanarFrame(geometry=geometry, y_plane=y, u_plane=u, v_plane=v, index=index)
+
+class _SharedFile:
+    """A video file that the frames of one stream read their planes from.
+
+    Frames are analysed on worker threads while the stream moves on, and
+    after it has ended, so each read seeks and reads under a lock, and the
+    file closes once the stream and every frame that reads from it are gone.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = open(path, "rb")
+        self.size = os.fstat(self._fh.fileno()).st_size
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._fh.close)
+
+    def read_into(self, out: np.ndarray, offset: int, index: int) -> None:
+        """Fill the contiguous array `out` with the file's bytes from `offset`
+        on; `index` names the frame they belong to in an error."""
+        with self._lock:
+            self._fh.seek(offset)
+            got = self._fh.readinto(out)
+        if got != out.nbytes:
+            with tables.naming(self.path):
+                raise VideoFormatError(f"frame {index}: file shrank after it was opened "
+                                       f"({got} of {out.nbytes} bytes at byte {offset})")
+
+
+@dataclass(frozen=True)
+class FilePlane:
+    """One sample plane of a frame in a file: where it starts, its 2-D shape
+    and its sample type. Its rows are read on demand."""
+
+    file: _SharedFile
+    offset: int
+    shape: tuple[int, int]
+    dtype: np.dtype
+    index: int
+
+    def read_rows(self, row: int, out: np.ndarray) -> np.ndarray:
+        """`out`, a C-contiguous (rows, columns) array, filled with the
+        plane's rows from `row` on."""
+        self.file.read_into(out, self.offset + row * self.shape[1] * self.dtype.itemsize,
+                            self.index)
+        return out
+
+
+@dataclass(frozen=True)
+class FileFrame:
+    """One frame of a video file: its geometry, its index and where its
+    payload starts. The samples stay in the file: `planes()` gives the
+    planes to read by bands, and `y_plane`, `u_plane` and `v_plane` read
+    one plane whole, as the flat read-only array a PlanarFrame holds."""
+
+    geometry: VideoGeometry
+    file: _SharedFile
+    offset: int
+    index: int = 0
+
+    def planes(self) -> tuple[FilePlane, ...]:
+        """The Y, U and V planes, in file order."""
+        g, start, out = self.geometry, self.offset, []
+        for rows, cols in g.plane_shapes():
+            out.append(FilePlane(self.file, start, (rows, cols), g.dtype, self.index))
+            start += rows * cols * g.dtype.itemsize
+        return tuple(out)
+
+    def _read_whole(self, which: int) -> np.ndarray:
+        plane = self.planes()[which]
+        samples = plane.read_rows(0, np.empty(plane.shape, plane.dtype)).reshape(-1)
+        samples.setflags(write=False)
+        return samples
+
+    @property
+    def y_plane(self) -> np.ndarray:
+        return self._read_whole(0)
+
+    @property
+    def u_plane(self) -> np.ndarray:
+        return self._read_whole(1)
+
+    @property
+    def v_plane(self) -> np.ndarray:
+        return self._read_whole(2)
+
+
+def bands(plane, unit: int) -> Iterator[np.ndarray]:
+    """The rows of a 2-D plane, a PlanarFrame's array or a FilePlane, in
+    bands of whole `unit`s of rows; the last band may be shorter.
+
+    A band is at most BAND_BYTES, or one unit where one unit is larger.
+    An array's bands are slices of it. A FilePlane's bands are read into
+    one buffer that every band reuses, so a band is valid only until the
+    next one is taken.
+    """
+    h, w = plane.shape
+    rows = unit * max(1, BAND_BYTES // (unit * max(1, w * plane.dtype.itemsize)))
+    buf = None if isinstance(plane, np.ndarray) else np.empty((min(rows, h), w), plane.dtype)
+    for r in range(0, h, rows):
+        yield plane[r:r + rows] if buf is None else plane.read_rows(r, buf[:min(rows, h - r)])
 
 
 def _first_token(line: bytes) -> bytes:
@@ -185,17 +304,18 @@ def _parse_y4m_header(line: bytes) -> VideoGeometry:
     )
 
 
-def open_y4m(path: str) -> Iterator[PlanarFrame]:
+def open_y4m(path: str) -> Iterator[FileFrame]:
     """Yield frames of a Y4M file in display order.
 
     The stream header fixes the geometry; a header with no FRAME markers
     is a valid zero-frame sequence. Truncated payloads report the index
-    of the offending frame.
+    of the offending frame. The file must be a regular file: frames read
+    their planes from it by byte range.
     """
     with tables.naming(path), open(path, "rb") as fh:
         geometry = _parse_y4m_header(_header_line(fh, "stream header").rstrip(b"\n"))
         nbytes = geometry.frame_bytes()
-        size = os.fstat(fh.fileno()).st_size
+        file = _SharedFile(path)
         index = 0
         while True:
             marker = _header_line(fh, f"FRAME header before frame {index}")
@@ -203,48 +323,66 @@ def open_y4m(path: str) -> Iterator[PlanarFrame]:
                 return
             if _first_token(marker) != b"FRAME":
                 raise VideoFormatError(f"bad FRAME marker before frame {index}")
-            # Checked before the read, which would allocate the whole frame
-            # that the header declares, however large.
-            left = size - fh.tell()
-            if left < nbytes:
+            start = fh.tell()
+            if file.size - start < nbytes:
                 raise VideoFormatError(f"truncated payload in frame {index} "
-                                       f"({left} of {nbytes} bytes)")
-            yield _split_planes(fh.read(nbytes), geometry, index)
+                                       f"({file.size - start} of {nbytes} bytes)")
+            yield FileFrame(geometry, file, start, index)
+            fh.seek(start + nbytes)
             index += 1
 
 
-def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[PlanarFrame]:
-    """Yield frames of a headerless planar YUV file with known geometry."""
+def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[FileFrame]:
+    """Yield frames of a headerless planar YUV file with known geometry.
+
+    A 10-bit frame is scanned band by band before it is yielded, and a
+    sample above 1023 is an error. The file must be a regular file.
+    """
     nbytes = geometry.frame_bytes()
-    with tables.naming(path), open(path, "rb") as fh:
-        total = os.fstat(fh.fileno()).st_size
-        if total % nbytes:
-            raise VideoFormatError(f"size {total} is not a multiple of the frame "
+    with tables.naming(path):
+        file = _SharedFile(path)
+        if file.size % nbytes:
+            raise VideoFormatError(f"size {file.size} is not a multiple of the frame "
                                    f"byte size {nbytes}")
-        for index in range(total // nbytes):
-            yield _split_planes(fh.read(nbytes), geometry, index)
+        for index in range(file.size // nbytes):
+            frame = FileFrame(geometry, file, index * nbytes, index)
+            if geometry.bit_depth > 8:   # two bytes hold samples up to 65535
+                for plane in frame.planes():
+                    for band in bands(plane, 1):
+                        _check_range(band, geometry.max_sample, index)
+            yield frame
 
 
-def write_raw_yuv(path: str, frames: Iterable[PlanarFrame]) -> int:
-    """Write frames as headerless planar YUV; returns the frame count."""
+def _check_same(geometry: VideoGeometry, first: VideoGeometry, count: int) -> None:
+    """A writer's frames share one geometry: reject frame `count` before it is written."""
+    if geometry != first:
+        raise VideoFormatError(f"frame {count} has geometry {geometry}, but frame 0 has {first}")
+
+
+def write_raw_yuv(path: str, frames: Iterable) -> int:
+    """Write frames of one geometry as headerless planar YUV; returns the frame count."""
     count = 0
     with open(path, "wb") as fh:
         for frame in frames:
-            dtype = np.uint8 if frame.geometry.bit_depth == 8 else np.dtype("<u2")
+            first = frame.geometry if count == 0 else first
+            _check_same(frame.geometry, first, count)
             for plane in (frame.y_plane, frame.u_plane, frame.v_plane):
-                fh.write(np.ascontiguousarray(plane, dtype=dtype).tobytes())
+                fh.write(np.ascontiguousarray(plane, dtype=first.dtype).tobytes())
             count += 1
     return count
 
 
-def write_y4m(path: str, frames: Iterable[PlanarFrame]) -> int:
-    """Write 8-bit frames as a Y4M file; returns the frame count."""
+def write_y4m(path: str, frames: Iterable) -> int:
+    """Write 8-bit frames of one geometry as a Y4M file; returns the frame count."""
     count = 0
     fh = None
     try:
         for frame in frames:
             g = frame.geometry
-            if fh is None:
+            if fh is not None:
+                _check_same(g, first, count)
+            else:
+                first = g
                 if g.bit_depth != 8:
                     raise VideoFormatError("Y4M output supports 8-bit only")
                 tag = "C420" if g.chroma_format == "420" else "Cmono"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intrarc import features as feat
+from intrarc import video_io as vio
 from intrarc.video_io import PlanarFrame, VideoGeometry
 
 import reference_features as ref
@@ -315,6 +316,24 @@ class TestSequence:
             assert np.array_equal(a.as_array(), b.as_array())
             assert a.frame_index == b.frame_index
 
+    def test_memory_does_not_grow_with_the_frame(self, tmp_path):
+        """Two workers on a 2160p Y4M clip hold a band each and the kernel's
+        block-row temporaries: less than one frame (12.4 MB) in all."""
+        g = VideoGeometry(3840, 2160)
+        frame = PlanarFrame(g, *(np.arange(h * w, dtype=np.uint8) * 7
+                                 for h, w in g.plane_shapes()))
+        path = tmp_path / "uhd.y4m"
+        vio.write_y4m(str(path), [frame] * 4)
+        del frame
+        tracemalloc.start()
+        try:
+            rows = feat.extract_sequence(vio.open_y4m(str(path)), threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4
+        assert peak < g.frame_bytes(), f"{peak / 1e6:.1f} MB"
+
     def test_threaded_read_ahead_is_bounded(self, rng, monkeypatch):
         """At most `threads` frames are pulled from the stream and not yet
         through extract_features, at 1, 2 and 4 threads, whatever the
@@ -346,6 +365,46 @@ class TestSequence:
             rows = feat.extract_sequence(stream(), threads=threads)
             assert [r.frame_index for r in rows] == list(range(n))
             assert max(held) <= threads, f"{threads} threads"
+
+
+def _written_frames(g, count, seed):
+    """`count` frames of geometry `g`: blocky noise, so band edges matter."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        planes = []
+        for h, w in g.plane_shapes():
+            coarse = rng.integers(0, g.max_sample + 1, (h // 8 + 1, w // 8 + 1))
+            fine = np.kron(coarse, np.ones((8, 8), int))[:h, :w] + rng.integers(-9, 10, (h, w))
+            planes.append(np.clip(fine, 0, g.max_sample).astype(g.dtype).reshape(-1))
+        yield PlanarFrame(g, *planes, index=i)
+
+
+class TestBands:
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(32, 100).map(lambda n: 2 * n),
+           height=st.integers(32, 100).map(lambda n: 2 * n),
+           kind=st.sampled_from(["y4m", "raw8", "raw10"]), chroma=st.sampled_from(["420", "400"]),
+           band_bytes=st.sampled_from([1, 300, 2500, 7000]), seed=st.integers(0, 2**32 - 1))
+    def test_file_bands_match_whole_planes(self, tmp_path_factory, width, height, kind, chroma,
+                                           band_bytes, seed):
+        """Features of frames read from a file in bands a few block rows
+        tall (or one) equal, field for field, those of the same frames held
+        in memory and analysed in one band."""
+        g = VideoGeometry(width, height, bit_depth=10 if kind == "raw10" else 8,
+                          chroma_format=chroma)
+        frames = list(_written_frames(g, 2, seed))
+        path = str(tmp_path_factory.mktemp("bands") / "clip")
+        if kind == "y4m":
+            vio.write_y4m(path, frames)
+            read = vio.open_y4m(path)
+        else:
+            vio.write_raw_yuv(path, frames)
+            read = vio.open_raw_yuv(path, g)
+        whole = feat.extract_sequence(frames)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vio, "BAND_BYTES", band_bytes)
+            banded = feat.extract_sequence(read, threads=2)
+        assert banded == whole
 
 
 class TestCsv:

@@ -215,15 +215,17 @@ def test_bd_rate_is_the_reports_value(curves):
 
 def _faults(pairs):
     """Every fault of an RD curve, in the order RdCurve reports them: each point in
-    rate order (a rate <= 0, then a non-finite PSNR), then fewer than 4 points,
-    rates not strictly increasing, PSNR not strictly increasing and a log-rate
-    slope that is not finite. The last is listed by its rule alone: it is never
-    the first of two faults."""
+    rate order (a rate <= 0, a rate that is not finite, then a non-finite PSNR),
+    then fewer than 4 points, rates not strictly increasing, PSNR not strictly
+    increasing and a log-rate slope that is not finite. The last is listed by
+    its rule alone: it is never the first of two faults."""
     ordered = sorted(pairs)
     faults = []
     for rate, psnr in ordered:
         if rate <= 0:
             faults.append("bitrate must be positive")
+        if not np.isfinite(rate):
+            faults.append("bitrate must be finite")
         if not np.isfinite(psnr):
             faults.append("psnr must be finite")
     if len(pairs) < 4:
@@ -241,7 +243,8 @@ def _faults(pairs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pairs=st.lists(st.tuples(st.sampled_from([-1e5, 0.0, 1e5, 2e5, 4e5, 8e5, 1.6e6]),
+@given(pairs=st.lists(st.tuples(st.sampled_from([-1e5, 0.0, 1e5, 2e5, 4e5, 8e5, 1.6e6,
+                                                 np.nan, np.inf, -np.inf]),
                                 st.one_of(st.floats(20, 50),
                                           st.sampled_from([np.nan, np.inf, -np.inf]))),
                       max_size=7))
@@ -249,6 +252,8 @@ def _faults(pairs):
 @example(pairs=[(1e5, 33.0), (2e5, np.inf), (4e5, 32.0)])
 @example(pairs=[(1e5, 30.0), (1e5, 31.0), (2e5, 29.0), (4e5, 32.0)])
 @example(pairs=[(1e5, 30.0), (2e5, 30.0), (4e5, 31.0), (8e5, 32.0)])
+@example(pairs=[(1e5, 30.0), (2e5, 31.0), (4e5, 32.0), (np.nan, 33.0)])
+@example(pairs=[(1e5, 30.0), (2e5, 31.0), (4e5, 32.0), (np.inf, 33.0)])
 def test_a_curve_with_two_faults_reports_the_first(pairs):
     faults = _faults(pairs)
     assume(len(set(faults)) >= 2)

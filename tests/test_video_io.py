@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,46 @@ class TestRawYuv:
                 assert np.array_equal(a.y_plane, b.y_plane)
                 assert np.array_equal(a.u_plane, b.u_plane)
                 assert np.array_equal(a.v_plane, b.v_plane)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("write", [vio.write_raw_yuv, vio.write_y4m])
+    def test_mixed_geometry_rejected_before_the_frame(self, tmp_path, rng, write):
+        """A file holds one geometry, so a frame of another is an error that
+        names it, raised before any of its bytes are written."""
+        path = tmp_path / "mixed"
+        frames = [make_frame(rng), make_frame(rng, width=128, index=1)]
+        with pytest.raises(vio.VideoFormatError, match="frame 1 has geometry .*width=128"):
+            write(str(path), frames)
+        header = len(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\n") if write is vio.write_y4m else 0
+        marker = len(b"FRAME\n") if write is vio.write_y4m else 0
+        assert path.stat().st_size == header + marker + frames[0].geometry.frame_bytes()
+
+
+class TestFileFrames:
+    def test_file_that_shrinks_is_a_data_error_naming_it(self, tmp_path, rng):
+        """Planes are read when a frame is analysed; a file cut short after
+        the reader checked its length names itself and the frame."""
+        path = tmp_path / "shrinks.y4m"
+        vio.write_y4m(str(path), [make_frame(rng, index=i) for i in range(2)])
+        frames = list(vio.open_y4m(str(path)))
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 100)
+        assert frames[0].v_plane.size == 1024
+        with pytest.raises(vio.VideoFormatError, match=rf"^{re.escape(str(path))}: frame 1: file shrank"):
+            frames[1].v_plane
+
+    def test_planes_read_whole_match_the_written_frames(self, tmp_path, rng):
+        frames = [make_frame(rng, width=66, height=98, index=i) for i in range(2)]
+        path = tmp_path / "clip.y4m"
+        vio.write_y4m(str(path), frames)
+        for a, b in zip(frames, vio.open_y4m(str(path))):
+            for x, y in zip(a.planes(), b.planes()):
+                assert x.shape == y.shape
+            for name in ("y_plane", "u_plane", "v_plane"):
+                plane = getattr(b, name)
+                assert np.array_equal(getattr(a, name), plane)
+                assert not plane.flags.writeable
 
 
 class TestGeometry:
