@@ -27,7 +27,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from intrarc import tables, video_io
+from intrarc import tables
 
 FEATURE_COLUMNS = {"frame_index": tables.INDEX, "e_y": tables.ENERGY, "l_y": tables.LEVEL,
                    "e_u": tables.ENERGY, "l_u": tables.LEVEL, "e_v": tables.ENERGY,
@@ -120,6 +120,10 @@ def block_texture_energies(plane, block_size: int, on_band=None) -> np.ndarray:
     in the last bits (about 1e-14 relative), far below the 9 significant
     digits that the features CSV keeps.
     """
+    # Imported here: train, predict and rc load this module for its CSV
+    # reader and its row type, and never read video.
+    from intrarc import video_io
+
     w = block_size
     h, width = plane.shape
     nr, nc = -(-h // w), -(-width // w)
