@@ -364,8 +364,10 @@ def write_raw_yuv(path: str, frames: Iterable) -> int:
     count = 0
     with open(path, "wb") as fh:
         for frame in frames:
-            first = frame.geometry if count == 0 else first
-            _check_same(frame.geometry, first, count)
+            if count:
+                _check_same(frame.geometry, first, count)
+            else:
+                first = frame.geometry
             for plane in (frame.y_plane, frame.u_plane, frame.v_plane):
                 fh.write(np.ascontiguousarray(plane, dtype=first.dtype).tobytes())
             count += 1

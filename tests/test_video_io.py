@@ -177,7 +177,8 @@ class TestFileFrames:
         with open(path, "r+b") as fh:
             fh.truncate(path.stat().st_size - 100)
         assert frames[0].v_plane.size == 1024
-        with pytest.raises(vio.VideoFormatError, match=rf"^{re.escape(str(path))}: frame 1: file shrank"):
+        named = rf"^{re.escape(str(path))}: frame 1: file shrank"
+        with pytest.raises(vio.VideoFormatError, match=named):
             frames[1].v_plane
 
     def test_planes_read_whole_match_the_written_frames(self, tmp_path, rng):
