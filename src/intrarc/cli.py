@@ -35,7 +35,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-MAX_THREADS = 64   # the most --threads takes: each analysis thread holds a frame
+MAX_THREADS = 64   # the most --threads takes: each analysis thread holds a band
 
 PREDICT_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "b_hat": tables.REAL}
 LOG_COLUMNS = {"frame_index": tables.INDEX, "q": tables.QP, "bits": tables.BITS}
@@ -102,13 +102,6 @@ def _parse_raw_geometry(text: str) -> video_io.VideoGeometry:
         return video_io.VideoGeometry(width=w, height=h, bit_depth=bits, chroma_format=chroma)
 
 
-def _is_y4m(path: str) -> bool:
-    from intrarc import video_io
-
-    with open(path, "rb") as fh:
-        return fh.read(len(video_io.Y4M_MAGIC)) == video_io.Y4M_MAGIC
-
-
 def _check_flag(flag: str, value, ok: bool, rule: str) -> None:
     """A flag value that breaks its rule is a usage error naming the flag."""
     if not ok:
@@ -125,7 +118,7 @@ def cmd_analyze(args) -> int:
     from intrarc import video_io
 
     _check_threads(args.threads)
-    if _is_y4m(args.input):
+    if video_io.is_y4m(args.input):
         if args.raw_geometry is not None:
             raise UsageError(f"--raw-geometry is for headerless input, but --input "
                              f"{args.input} is a Y4M file")

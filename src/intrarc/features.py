@@ -120,8 +120,8 @@ def block_texture_energies(plane, block_size: int, on_band=None) -> np.ndarray:
     in the last bits (about 1e-14 relative), far below the 9 significant
     digits that the features CSV keeps.
     """
-    # Imported here: train, predict and rc load this module for its CSV
-    # reader and its row type, and never read video.
+    # Imported here: train and predict load this module for its CSV reader
+    # and its row type, and never read video.
     from intrarc import video_io
 
     w = block_size
@@ -159,26 +159,17 @@ def _sample_sum(samples: np.ndarray, max_sample: int) -> int:
     """Exact sum of a 2-D array of integer samples in [0, max_sample].
 
     The rows are added in an integer accumulator that cannot overflow
-    (uint32 while the column sums fit, else uint64).
+    (uint32 while the column sums fit, else uint64). Below 2^53 / 1023
+    samples, float(samples.mean()) of 8- or 10-bit samples takes only exact
+    integer partial sums too, so it equals this sum over the sample count.
     """
     acc = np.uint32 if samples.shape[0] * max_sample <= 0xFFFFFFFF else np.uint64
     return int(np.add.reduce(samples, axis=0, dtype=acc).sum(dtype=np.uint64))
 
 
-def plane_mean(plane: np.ndarray, max_sample: int) -> float:
-    """Mean of a 2-D plane of integer samples in [0, max_sample].
-
-    The exact total (`_sample_sum`) is divided by the sample count. Below
-    2^53 / 1023 samples, every partial sum that float(plane.mean()) takes
-    of 8- or 10-bit samples is an exact integer too, so the two are
-    bit-identical.
-    """
-    return _sample_sum(plane, max_sample) / plane.size
-
-
 def _plane_features(plane, block_size: int, scale: float, max_sample: int) -> tuple[float, float]:
     """Texture energy and brightness of a plane from one read of each band;
-    the brightness divides the exact sample total, as `plane_mean` does."""
+    the brightness is the exact sample total (`_sample_sum`) over the count."""
     totals = []
     energy = plane_energy(plane, block_size, scale,
                           lambda band: totals.append(_sample_sum(band, max_sample)))

@@ -14,6 +14,7 @@ bands (`bands`), so a frame in flight costs no sample memory. In-memory
 from __future__ import annotations
 
 import os
+import stat
 import threading
 import weakref
 from dataclasses import dataclass
@@ -150,7 +151,8 @@ class PlanarFrame:
 
 
 class _SharedFile:
-    """A video file that the frames of one stream read their planes from.
+    """The one way a video input is opened: a regular file, read by byte
+    range, that a stream reads its headers and its frames' planes from.
 
     Frames are analysed on worker threads while the stream moves on, and
     after it has ended, so each read seeks and reads under a lock, and the
@@ -159,10 +161,18 @@ class _SharedFile:
 
     def __init__(self, path: str):
         self.path = path
+        if not stat.S_ISREG(os.stat(path).st_mode):   # checked first: a FIFO blocks open
+            raise OSError(f"{path}: not a regular file")
         self._fh = open(path, "rb")
         self.size = os.fstat(self._fh.fileno()).st_size
         self._lock = threading.Lock()
         weakref.finalize(self, self._fh.close)
+
+    def read(self, offset: int, size: int) -> bytes:
+        """Up to `size` of the file's bytes from `offset` on; fewer at its end."""
+        with self._lock:
+            self._fh.seek(offset)
+            return self._fh.read(size)
 
     def read_into(self, out: np.ndarray, offset: int, index: int) -> None:
         """Fill the contiguous array `out` with the file's bytes from `offset`
@@ -260,13 +270,13 @@ def _cut(token: str) -> str:
     return token if len(token) <= _QUOTE_MAX else token[:_QUOTE_MAX] + "..."
 
 
-def _header_line(fh, what: str) -> bytes:
-    """The next header line, read to its newline, to the end of the file or
-    to Y4M_LINE_MAX bytes, whichever comes first; the last is an error."""
-    line = fh.readline(Y4M_LINE_MAX)
-    if len(line) == Y4M_LINE_MAX and not line.endswith(b"\n"):
+def _header_line(file: _SharedFile, offset: int, what: str) -> bytes:
+    """The header line at `offset`, read to its newline, to the end of the
+    file or to Y4M_LINE_MAX bytes, whichever comes first; the last is an error."""
+    line, newline, _ = file.read(offset, Y4M_LINE_MAX).partition(b"\n")
+    if len(line) == Y4M_LINE_MAX:
         raise VideoFormatError(f"{what} longer than {Y4M_LINE_MAX} bytes")
-    return line
+    return line + newline
 
 
 def _parse_y4m_header(line: bytes) -> VideoGeometry:
@@ -304,31 +314,37 @@ def _parse_y4m_header(line: bytes) -> VideoGeometry:
     )
 
 
+def is_y4m(path: str) -> bool:
+    """Whether the regular file at `path` starts with the Y4M signature."""
+    return _SharedFile(path).read(0, len(Y4M_MAGIC)) == Y4M_MAGIC
+
+
 def open_y4m(path: str) -> Iterator[FileFrame]:
     """Yield frames of a Y4M file in display order.
 
     The stream header fixes the geometry; a header with no FRAME markers
     is a valid zero-frame sequence. Truncated payloads report the index
-    of the offending frame. The file must be a regular file: frames read
-    their planes from it by byte range.
+    of the offending frame. The file must be a regular file, which frames
+    read their planes from by byte range; anything else is an OSError.
     """
-    with tables.naming(path), open(path, "rb") as fh:
-        geometry = _parse_y4m_header(_header_line(fh, "stream header").rstrip(b"\n"))
-        nbytes = geometry.frame_bytes()
+    with tables.naming(path):
         file = _SharedFile(path)
-        index = 0
+        header = _header_line(file, 0, "stream header")
+        geometry = _parse_y4m_header(header.rstrip(b"\n"))
+        nbytes = geometry.frame_bytes()
+        index, offset = 0, len(header)
         while True:
-            marker = _header_line(fh, f"FRAME header before frame {index}")
+            marker = _header_line(file, offset, f"FRAME header before frame {index}")
             if marker == b"":
                 return
             if _first_token(marker) != b"FRAME":
                 raise VideoFormatError(f"bad FRAME marker before frame {index}")
-            start = fh.tell()
+            start = offset + len(marker)
             if file.size - start < nbytes:
                 raise VideoFormatError(f"truncated payload in frame {index} "
                                        f"({file.size - start} of {nbytes} bytes)")
             yield FileFrame(geometry, file, start, index)
-            fh.seek(start + nbytes)
+            offset = start + nbytes
             index += 1
 
 

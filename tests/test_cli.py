@@ -115,6 +115,49 @@ class TestAnalyze:
         assert peak < 1 << 20
 
 
+class TestNonRegularInput:
+    """A video input must be a regular file: its planes are read by byte range."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and /dev")
+    @pytest.mark.parametrize("kind", ["fifo", "piped stdin", "dev zero", "directory"])
+    def test_exits_4_naming_the_path_and_writes_nothing(self, tmp_path, y4m_file, kind):
+        """Checked before the input is opened, so a FIFO with no writer
+        cannot block the call; a fresh process with a timeout fails the
+        test, not the suite, if it does."""
+        flags = []
+        if kind == "fifo":
+            path = tmp_path / "fifo"
+            os.mkfifo(path)
+        elif kind == "piped stdin":
+            path = "/dev/stdin"
+        elif kind == "dev zero":
+            path, flags = "/dev/zero", ["--raw-geometry", "64x64:8:420"]
+        else:
+            path = tmp_path
+        out = tmp_path / "f.csv"
+        proc = analyze_process(["--input", path, *flags, "--out", out],
+                               input=y4m_file.read_bytes())
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == f"error: {path}: not a regular file\n".encode()
+        assert not out.exists() and not (tmp_path / "f.csv.manifest.json").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_stdin_redirected_from_a_file_reads_it(self, tmp_path, y4m_file):
+        with open(y4m_file, "rb") as stdin:
+            proc = analyze_process(["--input", "/dev/stdin", "--out", tmp_path / "a.csv"],
+                                   stdin=stdin)
+        assert proc.returncode == 0, proc.stderr
+        assert run("analyze", "--input", y4m_file, "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def analyze_process(argv, **kwargs):
+    """`intrarc analyze` in a fresh interpreter, killed after 30 s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
+    return subprocess.run([sys.executable, "-m", "intrarc.cli", "analyze", *map(str, argv)],
+                          env=env, capture_output=True, timeout=30, **kwargs)
+
+
 def analyze_capped(argv):
     """`intrarc analyze` in a fresh interpreter whose address space is capped
     at 3 GiB, so that an input which makes it allocate too much fails alone."""
@@ -1195,6 +1238,29 @@ class TestLazyImports:
         assert out["import"] == self.CLI
         assert out["analyze"] == [0, ["intrarc.cli", "intrarc.features", "intrarc.tables",
                                       "intrarc.video_io", "numpy"]]
+
+    def test_train_predict_and_rc_load_only_what_they_run(self, tmp_path, cli_inputs,
+                                                           training_csv):
+        """rc reads --resolution as a video_io.VideoGeometry, so it loads video_io."""
+        model, features = str(cli_inputs / "m.ircf"), str(cli_inputs / "features.csv")
+        rc = ["rc", "--features", features, "--bitrate", "1e5", "--resolution", "64x64",
+              "--trace", str(tmp_path / "t.csv")]
+        calls = {
+            "train": ["train", "--data", str(training_csv), "--trees", "2", "--threads", "1",
+                      "--out", str(tmp_path / "m.ircf")],
+            "predict": ["predict", "--model", model, "--features", features, "--qp", "30",
+                        "--out", str(tmp_path / "p.csv")],
+            "rc model": [*rc, "--model", model],
+            "rc noise": [*rc, "--first-pass", "noise"],
+        }
+        model_only = ["intrarc.cli", "intrarc.features", "intrarc.forest", "intrarc.tables",
+                      "numpy"]
+        with_rc = sorted(model_only + ["intrarc.ratecontrol", "intrarc.simulator",
+                                       "intrarc.video_io"])
+        for name, argv in calls.items():   # one interpreter each: sys.modules only grows
+            proc = _fresh_interpreter(IMPORT_PROBE, json.dumps([(name, argv)]))
+            out = json.loads(proc.stdout.splitlines()[-1])
+            assert out[name] == [0, with_rc if name.startswith("rc") else model_only], name
 
     def test_version_help_and_usage_errors_load_no_numpy(self):
         calls = [("version", ["--version"]), ("help", ["--help"]),

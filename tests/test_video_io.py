@@ -1,3 +1,4 @@
+import builtins
 import re
 
 import numpy as np
@@ -192,6 +193,29 @@ class TestFileFrames:
                 plane = getattr(b, name)
                 assert np.array_equal(getattr(a, name), plane)
                 assert not plane.flags.writeable
+
+    def test_y4m_stream_opens_its_file_once(self, tmp_path, rng, monkeypatch):
+        """The headers and every plane are read through one handle."""
+        path = tmp_path / "clip.y4m"
+        vio.write_y4m(str(path), [make_frame(rng, index=i) for i in range(2)])
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert [f.y_plane.size for f in vio.open_y4m(str(path))] == [4096, 4096]
+        assert opened == [str(path)]
+
+    @pytest.mark.parametrize("read", [
+        vio.is_y4m,
+        lambda path: list(vio.open_y4m(path)),
+        lambda path: list(vio.open_raw_yuv(path, vio.VideoGeometry(64, 64))),
+    ], ids=["is_y4m", "open_y4m", "open_raw_yuv"])
+    def test_input_that_is_not_a_regular_file_is_an_os_error_naming_it(self, tmp_path, read):
+        with pytest.raises(OSError, match=f"^{re.escape(str(tmp_path))}: not a regular file$"):
+            read(str(tmp_path))
 
 
 class TestGeometry:
