@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -113,10 +114,47 @@ def _check_threads(threads: int) -> None:
     _check_flag("--threads", threads, threads <= MAX_THREADS, f"at most {MAX_THREADS}")
 
 
+def _stat(path: str) -> os.stat_result | None:
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether writing path `a` would replace the file at path `b`: both are
+    one existing regular file, or neither exists and they are one absolute
+    path. An existing path that is not a regular file, such as a terminal,
+    holds nothing that a write replaces."""
+    sa, sb = _stat(a), _stat(b)
+    if sa is None and sb is None:
+        return os.path.abspath(a) == os.path.abspath(b)
+    return (sa is not None and sb is not None and stat.S_ISREG(sa.st_mode)
+            and os.path.samestat(sa, sb))
+
+
+def _check_outputs(inputs: dict[str, str | None], outputs: dict[str, str | None],
+                   manifest: str) -> None:
+    """Before any work: an output that would replace an input or an earlier
+    output is a usage error naming both flags. Each dict maps a flag to its
+    path, None when not given; the output of flag `manifest` also writes
+    <path>.manifest.json, last."""
+    if outputs[manifest]:
+        outputs = {**outputs, f"the {manifest} manifest": f"{outputs[manifest]}.manifest.json"}
+    named = [(flag, path) for flag, path in inputs.items() if path]
+    for flag, path in outputs.items():
+        if path:
+            for other, other_path in named:
+                if _same_file(path, other_path):
+                    raise UsageError(f"{flag} {path} would replace {other} {other_path}")
+            named.append((flag, path))
+
+
 def cmd_analyze(args) -> int:
     from intrarc import features as feat
     from intrarc import video_io
 
+    _check_outputs({"--input": args.input}, {"--out": args.out}, "--out")
     _check_threads(args.threads)
     if video_io.is_y4m(args.input):
         if args.raw_geometry is not None:
@@ -155,6 +193,7 @@ def cmd_train(args) -> int:
 
     from intrarc import forest
 
+    _check_outputs({"--data": args.data}, {"--out": args.out}, "--out")
     _check_threads(args.threads)
     _check_flag("--trees", args.trees, args.trees >= 1, "at least 1")
     _check_flag("--max-depth", args.max_depth, args.max_depth >= 1, "at least 1")
@@ -214,6 +253,8 @@ def cmd_predict(args) -> int:
     from intrarc import features as feat
     from intrarc import forest
 
+    _check_outputs({"--model": args.model, "--features": args.features}, {"--out": args.out},
+                   "--out")
     _check_flag("--qp", args.qp, 0 <= args.qp <= tables.QP_MAX, f"in [0, {tables.QP_MAX}]")
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
@@ -262,6 +303,9 @@ def cmd_rc(args) -> int:
     from intrarc import simulator as sim
     from intrarc import video_io
 
+    log = args.encoder[4:] if args.encoder.startswith("log:") else None
+    _check_outputs({"--features": args.features, "--model": args.model, "the --encoder log": log},
+                   {"--trace": args.trace, "--report": args.report}, "--trace")
     _check_flag("--seed", args.seed, args.seed >= 0, "at least 0")
     fps_num, fps_den = _parse_fps(args.fps)
     width, height = _parse_resolution(args.resolution)
@@ -288,8 +332,8 @@ def cmd_rc(args) -> int:
 
     if args.encoder == "sim":
         encoder = sim.make_encoder(rows, resolution.pixels, sim_params)
-    elif args.encoder.startswith("log:"):
-        encoder = _log_encoder(args.encoder[4:], {f.frame_index for f in rows})
+    elif log is not None:
+        encoder = _log_encoder(log, {f.frame_index for f in rows})
     else:
         raise UsageError(f"unknown encoder backend {args.encoder!r}")
 
@@ -322,6 +366,7 @@ def cmd_rc(args) -> int:
 def cmd_bdrate(args) -> int:
     from intrarc import metrics
 
+    _check_outputs({"--anchor": args.anchor, "--test": args.test}, {"--out": args.out}, "--out")
     anchor = metrics.read_rd_csv(args.anchor)
     test = metrics.read_rd_csv(args.test)
     report = metrics.bd_report(anchor, test)

@@ -412,14 +412,22 @@ def load(path: str) -> ForestModel:
     and that every value is one training can write.
 
     The file is read once into one buffer, and the trees' arrays are
-    views of it, so loading holds the model's bytes once.
+    views of it, so loading holds the model's bytes once. The magic is
+    read and checked first, so a file that is no model, such as /dev/zero
+    or a huge sparse file, is neither sized nor read to its end.
     """
     with tables.naming(path), open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
+        magic = fh.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise ModelFormatError("not a model file (bad magic)")
+        data = bytearray(max(len(magic), os.fstat(fh.fileno()).st_size))
+        data[:len(magic)] = magic
+        with memoryview(data)[len(magic):] as rest:
+            got = fh.readinto(rest)
+        del data[len(magic) + got:]
         data += fh.read()   # a pipe, whose size fstat does not give
         blob = memoryview(data)
-        if len(blob) < 8 or blob[:4] != _MAGIC:
+        if len(blob) < 8:
             raise ModelFormatError("not a model file (bad magic)")
         if len(blob) < _HEADER.size + 4:
             raise ModelFormatError("truncated model file")

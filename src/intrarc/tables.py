@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -103,13 +104,27 @@ def _csv_fault(reader, exc: csv.Error | UnicodeDecodeError) -> ValueError:
     return ValueError(str(exc))
 
 
+def _lines(fh, longest: int) -> Iterator[str]:
+    """The physical lines of `fh`, each cut at `longest` characters, so that a
+    line that never ends is not read whole. The caller picks `longest` so
+    that a cut line holds a field over the csv field limit or too many
+    fields, which the csv module or the field count reports; a line cut
+    inside a quoted field ends with a csv.Error instead."""
+    for line in iter(partial(fh.readline, longest), ""):
+        yield line
+        if len(line) == longest and line[-1] not in "\r\n":
+            raise csv.Error(f"longer than {longest} characters")
+
+
 def blocks(path: str, columns: dict[str, Column]) -> Iterator[tuple[list[int], list[list]]]:
     """The rows after the exact header, in blocks of up to BLOCK_ROWS: each
     block's line numbers and its values column by column. No rows, a row
     with the wrong field count, a value outside its column or malformed CSV
     raise ValueError naming the line, the first in file order."""
     with naming(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # Longer than any line of in-limit fields, even one with each field
+        # quoted and each of its characters a doubled quote.
+        reader = csv.reader(_lines(fh, len(columns) * (2 * csv.field_size_limit() + 4)))
         try:
             header = next(reader, None)
         except (csv.Error, UnicodeDecodeError) as exc:

@@ -181,27 +181,32 @@ class _SharedFile:
             self._fh.seek(offset)
             got = self._fh.readinto(out)
         if got != out.nbytes:
-            with tables.naming(self.path):
-                raise VideoFormatError(f"frame {index}: file shrank after it was opened "
-                                       f"({got} of {out.nbytes} bytes at byte {offset})")
+            raise VideoFormatError(f"frame {index}: file shrank after it was opened "
+                                   f"({got} of {out.nbytes} bytes at byte {offset})")
 
 
 @dataclass(frozen=True)
 class FilePlane:
-    """One sample plane of a frame in a file: where it starts, its 2-D shape
-    and its sample type. Its rows are read on demand."""
+    """One sample plane of a frame in a file: where it starts, its 2-D shape,
+    its sample type and largest sample. Its rows are read on demand."""
 
     file: _SharedFile
     offset: int
     shape: tuple[int, int]
     dtype: np.dtype
+    max_sample: int
     index: int
 
     def read_rows(self, row: int, out: np.ndarray) -> np.ndarray:
-        """`out`, a C-contiguous (rows, columns) array, filled with the
-        plane's rows from `row` on."""
-        self.file.read_into(out, self.offset + row * self.shape[1] * self.dtype.itemsize,
-                            self.index)
+        """`out`, a C-contiguous (rows, columns) array, filled with the plane's
+        rows from `row` on. Every sample of a file frame is read and checked here."""
+        try:
+            self.file.read_into(out, self.offset + row * self.shape[1] * self.dtype.itemsize,
+                                self.index)
+            _check_range(out, self.max_sample, self.index)
+        except VideoFormatError:   # named on failure only: no context per band
+            with tables.naming(self.file.path):
+                raise
         return out
 
 
@@ -220,9 +225,9 @@ class FileFrame:
     def planes(self) -> tuple[FilePlane, ...]:
         """The Y, U and V planes, in file order."""
         g, start, out = self.geometry, self.offset, []
-        for rows, cols in g.plane_shapes():
-            out.append(FilePlane(self.file, start, (rows, cols), g.dtype, self.index))
-            start += rows * cols * g.dtype.itemsize
+        for h, w in g.plane_shapes():
+            out.append(FilePlane(self.file, start, (h, w), g.dtype, g.max_sample, self.index))
+            start += h * w * g.dtype.itemsize
         return tuple(out)
 
     def _read_whole(self, which: int) -> np.ndarray:
@@ -349,11 +354,8 @@ def open_y4m(path: str) -> Iterator[FileFrame]:
 
 
 def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[FileFrame]:
-    """Yield frames of a headerless planar YUV file with known geometry.
-
-    A 10-bit frame is scanned band by band before it is yielded, and a
-    sample above 1023 is an error. The file must be a regular file.
-    """
+    """Yield frames of a headerless planar YUV file, a regular file, with known
+    geometry; a 10-bit sample above 1023 is an error when its plane is read."""
     nbytes = geometry.frame_bytes()
     with tables.naming(path):
         file = _SharedFile(path)
@@ -361,12 +363,7 @@ def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[FileFrame]:
             raise VideoFormatError(f"size {file.size} is not a multiple of the frame "
                                    f"byte size {nbytes}")
         for index in range(file.size // nbytes):
-            frame = FileFrame(geometry, file, index * nbytes, index)
-            if geometry.bit_depth > 8:   # two bytes hold samples up to 65535
-                for plane in frame.planes():
-                    for band in bands(plane, 1):
-                        _check_range(band, geometry.max_sample, index)
-            yield frame
+            yield FileFrame(geometry, file, index * nbytes, index)
 
 
 def _check_same(geometry: VideoGeometry, first: VideoGeometry, count: int) -> None:

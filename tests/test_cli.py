@@ -74,6 +74,20 @@ class TestAnalyze:
         assert run("analyze", "--input", tmp_path / "nope.y4m",
                    "--out", tmp_path / "f.csv") == 4
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ten_bit_raw_sample_above_1023_names_the_first_bad_frame(self, tmp_path, capsys,
+                                                                     threads):
+        """Each worker checks the bands it reads; results are taken in frame
+        order, so a later bad frame is not the one reported."""
+        clip, out = tmp_path / "clip.yuv", tmp_path / "f.csv"
+        samples = np.zeros((4, 64 * 64 * 3 // 2), "<u2")
+        samples[2, -1] = samples[3, 0] = 1024
+        clip.write_bytes(samples.tobytes())
+        assert run("analyze", "--input", clip, "--raw-geometry", "64x64:10:420",
+                   "--threads", threads, "--out", out) == 3
+        assert capsys.readouterr().err == f"error: {clip}: frame 2: sample outside [0, 1023]\n"
+        assert not out.exists()
+
     def test_deterministic_output_bytes(self, tmp_path, y4m_file):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -158,16 +172,21 @@ def analyze_process(argv, **kwargs):
                           env=env, capture_output=True, timeout=30, **kwargs)
 
 
-def analyze_capped(argv):
-    """`intrarc analyze` in a fresh interpreter whose address space is capped
-    at 3 GiB, so that an input which makes it allocate too much fails alone."""
-    cap = 3 << 30
+def capped_process(argv, cap):
+    """`intrarc` in a fresh interpreter whose address space is capped at `cap`
+    bytes and which is killed after 120 s, so that an input which makes it
+    allocate too much, or read forever, fails alone."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intrarc.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "intrarc.cli", "analyze", *map(str, argv)],
+        [sys.executable, "-m", "intrarc.cli", *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def analyze_capped(argv):
+    """`intrarc analyze` under a 3 GiB address-space cap."""
+    return capped_process(["analyze", *argv], 3 << 30)
 
 
 MAX_CLIP_BYTES = 64 * 1024 - 1
@@ -1137,6 +1156,118 @@ class TestDataErrorsNameTheFile:
                    "--encoder", f"log:{log}", "--trace", tmp_path / "t.csv") == 3
         assert capsys.readouterr().err == (
             f"error: encoder failed at frame 0: {log}: no log entry for frame 0 at q=33\n")
+
+
+RC_NOISE = ["rc", "--features", "{feats}", "--first-pass", "noise", "--bitrate", 1e5,
+            "--resolution", "64x64"]
+
+
+class TestOutputsReplaceNothing:
+    """An output that names an input or another output is a usage error,
+    found before any work, that names both flags."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, y4m_file, training_csv):
+        model = tmp_path / "m.ircf"
+        forest.save(forest.train_arrays(*forest.read_training_csv(str(training_csv)),
+                                        forest.ForestHyperparams(n_estimators=2, max_depth=3)),
+                    str(model))
+        feats, _ = _features_csv(tmp_path, n=3)
+        manifest_named = tmp_path / "x.csv.manifest.json"
+        manifest_named.write_bytes(feats.read_bytes())
+        anchor, _ = _write_curves(tmp_path, 1.0)
+        os.link(y4m_file, tmp_path / "link.y4m")
+        return dict(clip=y4m_file, link=tmp_path / "link.y4m", train=training_csv,
+                    model=model, feats=feats, manifest_named=manifest_named, anchor=anchor,
+                    x=tmp_path / "x.csv", new=tmp_path / "new.csv")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--input", "{clip}", "--out", "{clip}"],
+         "--out {clip} would replace --input {clip}"),
+        (["analyze", "--input", "{clip}", "--out", "{link}"],
+         "--out {link} would replace --input {clip}"),
+        (["train", "--data", "{train}", "--out", "{train}"],
+         "--out {train} would replace --data {train}"),
+        (["predict", "--model", "{model}", "--features", "{feats}", "--qp", 30,
+          "--out", "{model}"], "--out {model} would replace --model {model}"),
+        (["predict", "--model", "{model}", "--features", "{manifest_named}", "--qp", 30,
+          "--out", "{x}"],
+         "the --out manifest {x}.manifest.json would replace --features {manifest_named}"),
+        ([*RC_NOISE, "--trace", "{feats}"], "--trace {feats} would replace --features {feats}"),
+        ([*RC_NOISE, "--trace", "{new}", "--report", "{new}"],
+         "--report {new} would replace --trace {new}"),
+        ([*RC_NOISE, "--trace", "{new}", "--encoder", "log:{train}", "--report", "{train}"],
+         "--report {train} would replace the --encoder log {train}"),
+        (["bdrate", "--anchor", "{anchor}", "--test", "{anchor}", "--out", "{anchor}"],
+         "--out {anchor} would replace --anchor {anchor}"),
+    ], ids=["analyze", "analyze-hard-link", "train", "predict", "predict-manifest",
+            "rc-trace-features", "rc-trace-report", "rc-report-log", "bdrate"])
+    def test_clash_is_usage_error_that_writes_nothing(self, tmp_path, paths, capsys, argv,
+                                                      message):
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert run(*[str(a).format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_two_inputs_may_share_a_file(self, tmp_path, paths):
+        out = tmp_path / "report.json"
+        assert run("bdrate", "--anchor", paths["anchor"], "--test", paths["anchor"],
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["bd_rate_percent"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_path_that_is_not_a_regular_file_never_clashes(self):
+        """Nothing at a terminal or /dev/null is replaced by a write."""
+        cli._check_outputs({"--features": os.devnull},
+                           {"--trace": "t.csv", "--report": os.devnull}, "--trace")
+        assert not cli._same_file(os.devnull, os.devnull)
+
+
+NEVER_ENDS = "/dev/zero"
+
+
+@pytest.mark.skipif(not os.path.exists(NEVER_ENDS), reason="needs /dev/zero")
+class TestInputsThatNeverEnd:
+    """A model or table input is read only as far as its first fault, so an
+    input that never ends, or a huge sparse one, is a data error naming it,
+    without a traceback, under a 1.5 GB address-space cap."""
+
+    CAP = 1500 << 20
+
+    def test_model(self, tmp_path):
+        feats, _ = _features_csv(tmp_path, n=3)
+        proc = capped_process(["predict", "--model", NEVER_ENDS, "--features", feats,
+                               "--qp", 30], self.CAP)
+        assert (proc.returncode, proc.stderr) == (
+            3, f"error: {NEVER_ENDS}: not a model file (bad magic)\n")
+
+    def test_sparse_model(self, tmp_path):
+        feats, _ = _features_csv(tmp_path, n=3)
+        model = tmp_path / "sparse.ircf"
+        try:
+            with open(model, "wb") as fh:
+                fh.truncate(1 << 40)
+        except OSError:
+            pytest.skip("the file system holds no 1 TiB sparse file")
+        proc = capped_process(["predict", "--model", model, "--features", feats, "--qp", 30],
+                              self.CAP)
+        assert (proc.returncode, proc.stderr) == (
+            3, f"error: {model}: not a model file (bad magic)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", NEVER_ENDS, "--out", "{out}"],
+        ["predict", "--model", "{model}", "--features", NEVER_ENDS, "--qp", 30],
+    ], ids=["data", "features"])
+    def test_table(self, tmp_path, training_csv, argv):
+        model = tmp_path / "m.ircf"
+        forest.save(forest.train_arrays(*forest.read_training_csv(str(training_csv)),
+                                        forest.ForestHyperparams(n_estimators=2, max_depth=3)),
+                    str(model))
+        out = tmp_path / "out"
+        proc = capped_process([str(a).format(model=model, out=out) for a in argv], self.CAP)
+        limit = csv.field_size_limit()
+        assert (proc.returncode, proc.stderr) == (
+            3, f"error: {NEVER_ENDS}: line 1: field larger than field limit ({limit})\n")
+        assert not out.exists()
 
 
 def _fresh_interpreter(probe: str, *args: str, **env: str) -> subprocess.CompletedProcess:

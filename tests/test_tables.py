@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -64,6 +65,30 @@ def test_field_over_the_csv_size_limit_names_line(tmp_path, name):
     path = _write(tmp_path, header, [row, "1" * (csv.field_size_limit() + 1)])
     with pytest.raises(ValueError, match=f"{path}: line 3: field larger than field limit"):
         reader(path)
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("1" * (20 << 20), "field larger than field limit ({limit})"),
+    # cut inside a quoted field: each cut of `longest` characters, a multiple
+    # of 4, falls on the "a" of a '"a",' field
+    ("x" + ',"a"' * (5 << 20), "longer than {longest} characters"),
+], ids=["digits", "quoted fields"])
+def test_20_mb_line_is_read_only_to_its_first_fault(tmp_path, line, fault):
+    """Physical lines reach the csv module cut at a length that no line of
+    in-limit fields reaches, so a line that never ends is not read whole."""
+    header = READERS["features"][1]
+    path = _write(tmp_path, header, [line])
+    limit = csv.field_size_limit()
+    longest = (header.count(",") + 1) * (2 * limit + 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            feat.read_features_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: line 2: " + fault.format(limit=limit, longest=longest)
+    assert peak < 10 << 20
 
 
 @pytest.mark.parametrize("name", READERS)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from intrarc import features as feat
 from intrarc import video_io as vio
 
 from conftest import make_frame
@@ -137,8 +138,9 @@ class TestRawYuv:
         samples = np.zeros(64 * 64, dtype="<u2")
         samples[5] = 0x0400  # 1024 > max
         path.write_bytes(samples.tobytes())
+        (frame,) = vio.open_raw_yuv(str(path), g)
         with pytest.raises(vio.VideoFormatError, match="sample outside"):
-            list(vio.open_raw_yuv(str(path), g))
+            frame.y_plane
 
     def test_round_trip_identical(self, tmp_path, rng):
         for bit_depth in (8, 10):
@@ -207,6 +209,38 @@ class TestFileFrames:
         monkeypatch.setattr(builtins, "open", counting_open)
         assert [f.y_plane.size for f in vio.open_y4m(str(path))] == [4096, 4096]
         assert opened == [str(path)]
+
+    def test_ten_bit_plane_read_whole_names_the_file_and_frame(self, tmp_path):
+        """The range check is part of every read of a file frame's samples."""
+        g = vio.VideoGeometry(64, 64, bit_depth=10, chroma_format="400")
+        path = tmp_path / "hot.yuv"
+        samples = np.zeros((2, 64 * 64), dtype="<u2")
+        samples[1, 4095] = 1024
+        path.write_bytes(samples.tobytes())
+        first, second = vio.open_raw_yuv(str(path), g)
+        assert first.y_plane.max() == 0
+        named = rf"^{re.escape(str(path))}: frame 1: sample outside \[0, 1023\]$"
+        with pytest.raises(vio.VideoFormatError, match=named):
+            second.y_plane
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ten_bit_raw_analysis_reads_each_byte_once(self, tmp_path, rng, monkeypatch,
+                                                       threads):
+        path = tmp_path / "ten.yuv"
+        frames = [make_frame(rng, width=128, height=96, bit_depth=10, index=i)
+                  for i in range(3)]
+        vio.write_raw_yuv(str(path), frames)
+        read, real_read_into = [], vio._SharedFile.read_into
+
+        def counting_read_into(self, out, offset, index):
+            read.append(out.nbytes)
+            return real_read_into(self, out, offset, index)
+
+        monkeypatch.setattr(vio._SharedFile, "read_into", counting_read_into)
+        rows = feat.extract_sequence(vio.open_raw_yuv(str(path), frames[0].geometry),
+                                     threads=threads)
+        assert [r.frame_index for r in rows] == [0, 1, 2]
+        assert sum(read) == path.stat().st_size
 
     @pytest.mark.parametrize("read", [
         vio.is_y4m,
