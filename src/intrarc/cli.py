@@ -156,15 +156,16 @@ def cmd_analyze(args) -> int:
 
     _check_outputs({"--input": args.input}, {"--out": args.out}, "--out")
     _check_threads(args.threads)
+    geometry = _parse_raw_geometry(args.raw_geometry) if args.raw_geometry else None
     if video_io.is_y4m(args.input):
         if args.raw_geometry is not None:
             raise UsageError(f"--raw-geometry is for headerless input, but --input "
                              f"{args.input} is a Y4M file")
         frames = video_io.open_y4m(args.input)
     else:
-        if not args.raw_geometry:
+        if geometry is None:
             raise UsageError("headerless input requires --raw-geometry")
-        frames = video_io.open_raw_yuv(args.input, _parse_raw_geometry(args.raw_geometry))
+        frames = video_io.open_raw_yuv(args.input, geometry)
     cfg = feat.AnalyzerConfig()
     start = time.perf_counter()
     with tables.naming(args.input):   # extract_sequence raises "no frames in input stream"
@@ -317,25 +318,23 @@ def cmd_rc(args) -> int:
                           resolution=resolution)
     with _flag_values(f"--sim-noise {args.sim_noise} --sim-seed {args.sim_seed}"):
         sim_params = sim.SimParams(noise_sigma=args.sim_noise, seed=args.sim_seed)
+    if args.first_pass == "noise" and args.model is not None:
+        raise UsageError("--model is not read with --first-pass noise; give one or the other")
+    if args.first_pass == "model" and not args.model:
+        raise UsageError("either --model or --first-pass noise is required")
+    if args.encoder != "sim" and log is None:
+        raise UsageError(f"unknown encoder backend {args.encoder!r}")
     rows = feat.read_features_csv(args.features)
 
     if args.first_pass == "noise":
-        if args.model is not None:
-            raise UsageError("--model is not read with --first-pass noise; give one or the other")
         noise = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
         records = [replace(r, frame_index=f.frame_index) for r, f in zip(noise, rows)]
     else:
-        if not args.model:
-            raise UsageError("either --model or --first-pass noise is required")
-        model = forest.load(args.model)
-        records = rc.build_first_pass(rows, model, cfg)
-
-    if args.encoder == "sim":
+        records = rc.build_first_pass(rows, forest.load(args.model), cfg)
+    if log is None:
         encoder = sim.make_encoder(rows, resolution.pixels, sim_params)
-    elif log is not None:
-        encoder = _log_encoder(log, {f.frame_index for f in rows})
     else:
-        raise UsageError(f"unknown encoder backend {args.encoder!r}")
+        encoder = _log_encoder(log, {f.frame_index for f in rows})
 
     decisions, summary = rc.run_second_pass(records, encoder, cfg)
     rc.write_trace_csv(args.trace, decisions)

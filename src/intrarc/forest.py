@@ -412,34 +412,41 @@ def load(path: str) -> ForestModel:
     and that every value is one training can write.
 
     The file is read once into one buffer, and the trees' arrays are
-    views of it, so loading holds the model's bytes once. The magic is
-    read and checked first, so a file that is no model, such as /dev/zero
-    or a huge sparse file, is neither sized nor read to its end.
+    views of it, so loading holds the model's bytes once. The 12-byte
+    header (magic, version, tree count) is read and checked first, so a
+    file that is no model, such as /dev/zero or a huge sparse file, is
+    neither sized nor read to its end; a file too large to hold is a
+    format error naming its size.
     """
     with tables.naming(path), open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        header = fh.read(_HEADER.size)
+        if header[:len(_MAGIC)] != _MAGIC:
             raise ModelFormatError("not a model file (bad magic)")
-        data = bytearray(max(len(magic), os.fstat(fh.fileno()).st_size))
-        data[:len(magic)] = magic
-        with memoryview(data)[len(magic):] as rest:
+        if len(header) < _HEADER.size:
+            raise ModelFormatError("truncated model file")
+        _, version, n_trees = _HEADER.unpack(header)
+        if version != _VERSION:
+            raise ModelFormatError(f"format version {version}, expected {_VERSION}")
+        if n_trees < 1:
+            raise ModelFormatError("model has no trees")
+        size = max(len(header), os.fstat(fh.fileno()).st_size)
+        try:
+            data = bytearray(size)
+        except MemoryError:
+            raise ModelFormatError(f"{size}-byte file is too large to load") from None
+        data[:len(header)] = header
+        with memoryview(data)[len(header):] as rest:
             got = fh.readinto(rest)
-        del data[len(magic) + got:]
+        del data[len(header) + got:]
         data += fh.read()   # a pipe, whose size fstat does not give
         blob = memoryview(data)
-        if len(blob) < 8:
-            raise ModelFormatError("not a model file (bad magic)")
         if len(blob) < _HEADER.size + 4:
             raise ModelFormatError("truncated model file")
         body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
         if zlib.crc32(body) != crc:
             raise ModelFormatError("checksum mismatch, file is corrupt")
         rd = _Reader(body)
-        magic, version, n_trees = _HEADER.unpack(rd.take(_HEADER.size))
-        if version != _VERSION:
-            raise ModelFormatError(f"format version {version}, expected {_VERSION}")
-        if n_trees < 1:
-            raise ModelFormatError("model has no trees")
+        rd.take(_HEADER.size)
         trees = [_read_tree(rd) for _ in range(n_trees)]
         if rd.pos != len(body):
             raise ModelFormatError(f"{len(body) - rd.pos} trailing bytes after the last tree")

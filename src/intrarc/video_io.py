@@ -6,9 +6,10 @@ little-endian. Frames are yielded in display order with indices counted
 from 0.
 
 The readers yield `FileFrame`s, which hold the open file and where each
-plane starts rather than the samples; analysis reads each plane by
-bands (`bands`), so a frame in flight costs no sample memory. In-memory
-`PlanarFrame`s go through the same bands, as slices of their planes.
+plane starts rather than the samples; analysis and the writers read
+each plane by bands (`bands`), so a frame in flight costs no sample
+memory. In-memory `PlanarFrame`s go through the same bands, as slices
+of their planes.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class VideoGeometry:
 def _check_range(samples: np.ndarray, hi: int, index: int) -> None:
     """Reject integer samples outside [0, hi]. A scan that the dtype already
     rules out is skipped: uint8 at 8 bits needs neither, any other unsigned
-    type no minimum."""
+    type no minimum, and an empty array (4:0:0 chroma) none."""
     bounds = np.iinfo(samples.dtype)
-    if ((bounds.max > hi and int(samples.max()) > hi)
-            or (bounds.min < 0 and int(samples.min()) < 0)):
+    if samples.size and ((bounds.max > hi and int(samples.max()) > hi)
+                         or (bounds.min < 0 and int(samples.min()) < 0)):
         raise VideoFormatError(f"frame {index}: sample outside [0, {hi}]")
 
 
@@ -214,8 +215,7 @@ class FilePlane:
 class FileFrame:
     """One frame of a video file: its geometry, its index and where its
     payload starts. The samples stay in the file: `planes()` gives the
-    planes to read by bands, and `y_plane`, `u_plane` and `v_plane` read
-    one plane whole, as the flat read-only array a PlanarFrame holds."""
+    planes, which are read by rows (`FilePlane.read_rows`, or `bands`)."""
 
     geometry: VideoGeometry
     file: _SharedFile
@@ -229,24 +229,6 @@ class FileFrame:
             out.append(FilePlane(self.file, start, (h, w), g.dtype, g.max_sample, self.index))
             start += h * w * g.dtype.itemsize
         return tuple(out)
-
-    def _read_whole(self, which: int) -> np.ndarray:
-        plane = self.planes()[which]
-        samples = plane.read_rows(0, np.empty(plane.shape, plane.dtype)).reshape(-1)
-        samples.setflags(write=False)
-        return samples
-
-    @property
-    def y_plane(self) -> np.ndarray:
-        return self._read_whole(0)
-
-    @property
-    def u_plane(self) -> np.ndarray:
-        return self._read_whole(1)
-
-    @property
-    def v_plane(self) -> np.ndarray:
-        return self._read_whole(2)
 
 
 def bands(plane, unit: int) -> Iterator[np.ndarray]:
@@ -381,8 +363,9 @@ def write_raw_yuv(path: str, frames: Iterable) -> int:
                 _check_same(frame.geometry, first, count)
             else:
                 first = frame.geometry
-            for plane in (frame.y_plane, frame.u_plane, frame.v_plane):
-                fh.write(np.ascontiguousarray(plane, dtype=first.dtype).tobytes())
+            for plane in frame.planes():
+                for band in bands(plane, 1):
+                    fh.write(np.ascontiguousarray(band, dtype=first.dtype))
             count += 1
     return count
 
@@ -407,8 +390,9 @@ def write_y4m(path: str, frames: Iterable) -> int:
                     .encode("ascii")
                 )
             fh.write(b"FRAME\n")
-            for plane in (frame.y_plane, frame.u_plane, frame.v_plane):
-                fh.write(np.ascontiguousarray(plane, dtype=np.uint8).tobytes())
+            for plane in frame.planes():
+                for band in bands(plane, 1):
+                    fh.write(np.ascontiguousarray(band, dtype=np.uint8))
             count += 1
     finally:
         if fh is not None:

@@ -5,8 +5,10 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -1222,6 +1224,126 @@ class TestOutputsReplaceNothing:
         assert not cli._same_file(os.devnull, os.devnull)
 
 
+# Every path flag of a clash run names one of these, in one directory. The
+# first nine exist: a valid input of each kind, a features table under the
+# name that `--out out.csv` writes its manifest to, and a hard link to
+# features.csv. out.csv (spelled two ways) and new.json do not.
+CLASH_POOL = ["clip.y4m", "features.csv", "train.csv", "m.ircf", "anchor.csv", "test.csv",
+              "log.csv", "out.csv.manifest.json", "link.csv", "out.csv", "./out.csv",
+              "new.json"]
+
+
+@pytest.fixture(scope="module")
+def clash_pool(tmp_path_factory):
+    """The pool's existing files but the hard link, which each run makes anew."""
+    root = tmp_path_factory.mktemp("pool")
+    vio.write_y4m(str(root / "clip.y4m"),
+                  [make_frame(np.random.default_rng(0), index=i) for i in range(2)])
+    feats, _ = _features_csv(root, n=3)
+    X, y = sim.generate_dataset(40, sim.SimParams(kappa=1.0), seed=1)
+    forest.write_training_csv(str(root / "train.csv"), X, y)
+    forest.save(forest.train_arrays(X, y, forest.ForestHyperparams(n_estimators=2, max_depth=3)),
+                str(root / "m.ircf"))
+    _write_curves(root, 1.1)
+    (root / "log.csv").write_text("frame_index,q,bits\n" + "".join(
+        f"{f},{q},{100000 - 1000 * q}\n" for f in range(3) for q in range(64)))
+    shutil.copy(feats, root / "out.csv.manifest.json")
+    return root
+
+
+@st.composite
+def clash_run(draw, subcommand, root):
+    """(argv, inputs, outputs) of one run of `subcommand` whose path flags
+    name entries of the pool in `root`. An input flag names a valid input of
+    its kind, and an output a name that does not exist, about half the time,
+    so that many runs write. An optional flag not given is None in inputs or
+    outputs; the first output is the one that writes the manifest."""
+    def entries(*names):
+        return st.sampled_from([os.path.join(root, entry) for entry in names])
+
+    name = entries(*CLASH_POOL)
+    out = entries("out.csv", "./out.csv", "new.json") | name
+
+    def source(entry):
+        return entries(entry) | name
+
+    def maybe(strategy):
+        return draw(st.none() | strategy)
+
+    if subcommand in ("analyze", "train"):
+        if subcommand == "analyze":
+            flags = ["--input", draw(source("clip.y4m"))]
+        else:
+            flags = ["--data", draw(source("train.csv")), "--trees", "2", "--max-depth", "3"]
+        path = draw(out)
+        return [subcommand, *flags, "--threads", "1", "--out", path], [flags[1]], [path]
+    if subcommand == "rc":
+        feats, model, log = (draw(source("features.csv")), maybe(source("m.ircf")),
+                             maybe(source("log.csv")))
+        trace, report = draw(out), maybe(out)
+        argv = ["rc", "--features", feats, "--bitrate", "3e4", "--resolution", "64x64",
+                "--trace", trace, *(["--model", model] if model else ["--first-pass", "noise"]),
+                *(["--encoder", f"log:{log}"] if log else []),
+                *(["--report", report] if report else [])]
+        return argv, [feats, model, log], [trace, report]
+    if subcommand == "predict":
+        first, second = draw(source("m.ircf")), draw(source("features.csv"))
+        flags = ["--model", first, "--features", second, "--qp", "30"]
+    else:
+        first, second = draw(source("anchor.csv")), draw(source("test.csv"))
+        flags = ["--anchor", first, "--test", second]
+    path = maybe(out)
+    return [subcommand, *flags, *(["--out", path] if path else [])], [first, second], [path]
+
+
+def _would_replace(out: str, other: str) -> bool:
+    """Both are one existing regular file, or neither exists and both are one absolute path."""
+    if os.path.exists(out) and os.path.exists(other):
+        return os.path.isfile(out) and os.path.samefile(out, other)
+    return (not os.path.exists(out) and not os.path.exists(other)
+            and os.path.abspath(out) == os.path.abspath(other))
+
+
+def _contents(path: str) -> bytes | None:
+    return open(path, "rb").read() if os.path.exists(path) else None
+
+
+class TestOutputClashProperty:
+    """Drawn path flags from one pool: a run exits 2 with "would replace"
+    exactly when an output clashes with an input or an earlier output, and
+    then changes nothing; otherwise no input's bytes change."""
+
+    @pytest.mark.parametrize("subcommand", ["analyze", "train", "predict", "rc", "bdrate"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_would_replace_exactly_when_an_output_clashes(self, clash_pool, tmp_path_factory,
+                                                          subcommand, data):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+            for entry in clash_pool.iterdir():
+                shutil.copy(entry, root)
+            os.link(os.path.join(root, "features.csv"), os.path.join(root, "link.csv"))
+            argv, inputs, outputs = data.draw(clash_run(subcommand, root))
+            inputs = [p for p in inputs if p]
+            written = [p for p in outputs if p]
+            if outputs[0]:
+                written.append(f"{outputs[0]}.manifest.json")
+            clash = any(_would_replace(out, other)
+                        for i, out in enumerate(written) for other in inputs + written[:i])
+            pool = {entry: _contents(os.path.join(root, entry)) for entry in CLASH_POOL}
+            before = {p: _contents(p) for p in inputs}
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert (code == 2 and "would replace" in err.getvalue()) == clash, err.getvalue()
+            if clash:
+                assert {entry: _contents(os.path.join(root, entry))
+                        for entry in CLASH_POOL} == pool
+                assert sorted(os.listdir(root)) == sorted(p for p in pool if pool[p] is not None
+                                                          and not p.startswith("./"))
+            else:
+                assert {p: _contents(p) for p in inputs} == before
+
+
 NEVER_ENDS = "/dev/zero"
 
 
@@ -1252,6 +1374,26 @@ class TestInputsThatNeverEnd:
                               self.CAP)
         assert (proc.returncode, proc.stderr) == (
             3, f"error: {model}: not a model file (bad magic)\n")
+
+    @pytest.mark.parametrize("header, message", [
+        (b"IRCF", "format version 0, expected 6"),
+        (b"IRCF\x06\x00\x00\x00\x01\x00\x00\x00",
+         f"{(1 << 40) + 12}-byte file is too large to load"),
+    ], ids=["magic", "v6-header"])
+    def test_sparse_file_with_a_model_header(self, tmp_path, header, message):
+        """The header is checked before the rest is sized; a rest too large
+        to hold is a data error naming its size, not a MemoryError."""
+        feats, _ = _features_csv(tmp_path, n=3)
+        model = tmp_path / "sparse.ircf"
+        try:
+            with open(model, "wb") as fh:
+                fh.write(header)
+                fh.truncate(len(header) + (1 << 40))
+        except OSError:
+            pytest.skip("the file system holds no 1 TiB sparse file")
+        proc = capped_process(["predict", "--model", model, "--features", feats, "--qp", 30],
+                              self.CAP)
+        assert (proc.returncode, proc.stderr) == (3, f"error: {model}: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["train", "--data", NEVER_ENDS, "--out", "{out}"],
@@ -1441,6 +1583,8 @@ class TestBlasThreads:
 RC = ["rc", "--features", "{feats}", "--model", "{model}", "--bitrate", 1e5,
       "--resolution", "64x64", "--trace", "{out}"]
 BUDGET = "frame budget target_bitrate * fps_den / fps_num must be in [1, 2^53] bits"
+RC_MISSING = ["rc", "--features", "{missing}.csv", "--bitrate", 3e4, "--resolution", "128x128",
+              "--trace", "{out}"]
 
 
 class TestUsage:
@@ -1547,6 +1691,28 @@ class TestUsage:
         assert run(*[str(a).format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--input", "{missing}.yuv", "--raw-geometry", "12x:8", "--out", "{out}"],
+         "--raw-geometry '12x:8' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
+        (["analyze", "--input", "{y4m}", "--raw-geometry", "12x:8", "--out", "{out}"],
+         "--raw-geometry '12x:8' is not WIDTHxHEIGHT:BITDEPTH:CHROMA"),
+        ([*RC_MISSING], "either --model or --first-pass noise is required"),
+        ([*RC_MISSING, "--first-pass", "noise", "--model", "{missing}.ircf"],
+         "--model is not read with --first-pass noise; give one or the other"),
+        ([*RC_MISSING, "--model", "{missing}.ircf", "--encoder", "bogus"],
+         "unknown encoder backend 'bogus'"),
+    ], ids=["raw-geometry", "raw-geometry-with-y4m", "rc-no-model", "rc-model-with-noise",
+            "rc-encoder"])
+    def test_usage_error_comes_before_any_input_is_read(self, tmp_path, y4m_file, capsys,
+                                                        argv, message):
+        """These rules are checked before any input is opened: a missing input
+        would exit 4, and the Y4M sniff would call the geometry one for
+        headerless input."""
+        paths = dict(missing=tmp_path / "missing", y4m=y4m_file, out=tmp_path / "out")
+        assert run(*[str(a).format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [y4m_file.name]
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-features", 3), ("--min-samples-leaf", 2), ("--min-samples-split", 3),

@@ -468,6 +468,25 @@ class TestSerialization:
         with pytest.raises(forest.ModelFormatError):
             forest.load(str(path))
 
+    @pytest.mark.parametrize("blob", [b"IRCF", b"IRCF\x06\x00", b"IRCF" + bytes(7)],
+                             ids=["magic", "magic-and-half-a-version", "one-short"])
+    def test_file_shorter_than_the_header_is_truncated(self, tmp_path, blob):
+        path = tmp_path / "short.ircf"
+        path.write_bytes(blob)
+        with pytest.raises(forest.ModelFormatError, match="truncated model file"):
+            forest.load(str(path))
+
+    def test_header_is_checked_before_the_checksum(self, tmp_path):
+        """A corrupt version is reported as the version it reads."""
+        model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2))
+        path = tmp_path / "m.ircf"
+        forest.save(model, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[4] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(forest.ModelFormatError, match="format version 249, expected 6"):
+            forest.load(str(path))
+
     def test_version_mismatch(self, tmp_path):
         model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=2))
         path = tmp_path / "m.ircf"
