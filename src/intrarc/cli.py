@@ -324,6 +324,8 @@ def cmd_rc(args) -> int:
         raise UsageError("either --model or --first-pass noise is required")
     if args.encoder != "sim" and log is None:
         raise UsageError(f"unknown encoder backend {args.encoder!r}")
+    if log == "":
+        raise UsageError("--encoder log: names no file; give log:<csv path>")
     rows = feat.read_features_csv(args.features)
 
     if args.first_pass == "noise":
@@ -453,7 +455,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

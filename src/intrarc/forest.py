@@ -367,29 +367,17 @@ def save(model: ForestModel, path: str) -> int:
     return len(blob)
 
 
-class _Reader:
-    def __init__(self, blob: memoryview):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, size: int) -> memoryview:
-        if self.pos + size > len(self.blob):
-            raise ModelFormatError("truncated model file")
-        out = self.blob[self.pos:self.pos + size]
-        self.pos += size
-        return out
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        """The next `count` values, as a view of the file's bytes."""
-        dt = np.dtype(dtype)
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt)
-
-
-def _read_tree(rd: _Reader) -> Tree:
-    """One tree's records, checked so that traversal stays inside the tree."""
-    (n_nodes,) = struct.unpack("<I", rd.take(4))
-    feature = rd.array("<i1", n_nodes)
-    value = rd.array("<f8", n_nodes)
+def _read_tree(body: memoryview, pos: int) -> tuple[Tree, int]:
+    """The tree whose records start at byte `pos` of `body`, checked so that
+    traversal stays inside the tree, and the offset after it."""
+    end = pos + 4
+    if end <= len(body):
+        (n_nodes,) = struct.unpack_from("<I", body, pos)
+        end += 9 * n_nodes   # one feature byte and one float64 a node
+    if end > len(body):
+        raise ModelFormatError("truncated model file")
+    feature = np.frombuffer(body, "<i1", n_nodes, pos + 4)
+    value = np.frombuffer(body, "<f8", n_nodes, pos + 4 + n_nodes)
     if ((feature < -1) | (feature >= N_FEATURES)).any():
         raise ModelFormatError(f"node feature outside [-1, {N_FEATURES - 1}]")
     slots = np.flatnonzero(feature >= 0)
@@ -404,19 +392,20 @@ def _read_tree(rd: _Reader) -> Tree:
     leaves = value[feature < 0]
     if not ((leaves >= tables.BITS.lo) & (leaves <= tables.BITS.hi)).all():
         raise ModelFormatError("leaf value that is not a bit count in [1, 2^53]")
-    return Tree(feature=feature, value=value)
+    return Tree(feature=feature, value=value), end
 
 
 def load(path: str) -> ForestModel:
     """Read a model back; verifies magic, version, checksum, tree structure
     and that every value is one training can write.
 
-    The file is read once into one buffer, and the trees' arrays are
-    views of it, so loading holds the model's bytes once. The 12-byte
-    header (magic, version, tree count) is read and checked first, so a
-    file that is no model, such as /dev/zero or a huge sparse file, is
-    neither sized nor read to its end; a file too large to hold is a
-    format error naming its size.
+    The file is read once into one buffer, parsed tree by tree at byte
+    offsets, and the trees' arrays are views of it (`np.frombuffer`), so
+    loading holds the model's bytes once. The 12-byte header (magic,
+    version, tree count) is read and checked first, so a file that is no
+    model, such as /dev/zero or a huge sparse file, is neither sized nor
+    read to its end; a file too large to hold is a format error naming
+    its size.
     """
     with tables.naming(path), open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -445,11 +434,12 @@ def load(path: str) -> ForestModel:
         body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
         if zlib.crc32(body) != crc:
             raise ModelFormatError("checksum mismatch, file is corrupt")
-        rd = _Reader(body)
-        rd.take(_HEADER.size)
-        trees = [_read_tree(rd) for _ in range(n_trees)]
-        if rd.pos != len(body):
-            raise ModelFormatError(f"{len(body) - rd.pos} trailing bytes after the last tree")
+        pos, trees = _HEADER.size, []
+        for _ in range(n_trees):
+            tree, pos = _read_tree(body, pos)
+            trees.append(tree)
+        if pos != len(body):
+            raise ModelFormatError(f"{len(body) - pos} trailing bytes after the last tree")
     return ForestModel(trees=trees)
 
 

@@ -6,17 +6,16 @@ little-endian. Frames are yielded in display order with indices counted
 from 0.
 
 The readers yield `FileFrame`s, which hold the open file and where each
-plane starts rather than the samples; analysis and the writers read
-each plane by bands (`bands`), so a frame in flight costs no sample
-memory. In-memory `PlanarFrame`s go through the same bands, as slices
-of their planes.
+plane starts rather than the samples; analysis and the one writer,
+`write_y4m`, read each plane by bands (`bands`), so a frame in flight
+costs no sample memory. In-memory `PlanarFrame`s go through the same
+bands, as slices of their planes.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -156,34 +155,23 @@ class _SharedFile:
     range, that a stream reads its headers and its frames' planes from.
 
     Frames are analysed on worker threads while the stream moves on, and
-    after it has ended, so each read seeks and reads under a lock, and the
-    file closes once the stream and every frame that reads from it are gone.
+    after it has ended. Every read names its own offset (`os.pread`,
+    `os.preadv`) and moves no shared one, so the readers need no lock.
+    The file closes once the stream and every frame that reads from it
+    are gone.
     """
 
     def __init__(self, path: str):
         self.path = path
         if not stat.S_ISREG(os.stat(path).st_mode):   # checked first: a FIFO blocks open
             raise OSError(f"{path}: not a regular file")
-        self._fh = open(path, "rb")
-        self.size = os.fstat(self._fh.fileno()).st_size
-        self._lock = threading.Lock()
-        weakref.finalize(self, self._fh.close)
+        self.fd = os.open(path, os.O_RDONLY)
+        self.size = os.fstat(self.fd).st_size
+        weakref.finalize(self, os.close, self.fd)
 
     def read(self, offset: int, size: int) -> bytes:
         """Up to `size` of the file's bytes from `offset` on; fewer at its end."""
-        with self._lock:
-            self._fh.seek(offset)
-            return self._fh.read(size)
-
-    def read_into(self, out: np.ndarray, offset: int, index: int) -> None:
-        """Fill the contiguous array `out` with the file's bytes from `offset`
-        on; `index` names the frame they belong to in an error."""
-        with self._lock:
-            self._fh.seek(offset)
-            got = self._fh.readinto(out)
-        if got != out.nbytes:
-            raise VideoFormatError(f"frame {index}: file shrank after it was opened "
-                                   f"({got} of {out.nbytes} bytes at byte {offset})")
+        return os.pread(self.fd, size, offset)
 
 
 @dataclass(frozen=True)
@@ -201,9 +189,15 @@ class FilePlane:
     def read_rows(self, row: int, out: np.ndarray) -> np.ndarray:
         """`out`, a C-contiguous (rows, columns) array, filled with the plane's
         rows from `row` on. Every sample of a file frame is read and checked here."""
+        offset = self.offset + row * self.shape[1] * self.dtype.itemsize
+        got, flat = 0, np.frombuffer(out, np.uint8)
+        # A read stops short only at the file's end, or past 2 GiB.
+        while got < flat.size and (n := os.preadv(self.file.fd, [flat[got:]], offset + got)):
+            got += n
         try:
-            self.file.read_into(out, self.offset + row * self.shape[1] * self.dtype.itemsize,
-                                self.index)
+            if got != out.nbytes:
+                raise VideoFormatError(f"frame {self.index}: file shrank after it was opened "
+                                       f"({got} of {out.nbytes} bytes at byte {offset})")
             _check_range(out, self.max_sample, self.index)
         except VideoFormatError:   # named on failure only: no context per band
             with tables.naming(self.file.path):
@@ -348,28 +342,6 @@ def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[FileFrame]:
             yield FileFrame(geometry, file, index * nbytes, index)
 
 
-def _check_same(geometry: VideoGeometry, first: VideoGeometry, count: int) -> None:
-    """A writer's frames share one geometry: reject frame `count` before it is written."""
-    if geometry != first:
-        raise VideoFormatError(f"frame {count} has geometry {geometry}, but frame 0 has {first}")
-
-
-def write_raw_yuv(path: str, frames: Iterable) -> int:
-    """Write frames of one geometry as headerless planar YUV; returns the frame count."""
-    count = 0
-    with open(path, "wb") as fh:
-        for frame in frames:
-            if count:
-                _check_same(frame.geometry, first, count)
-            else:
-                first = frame.geometry
-            for plane in frame.planes():
-                for band in bands(plane, 1):
-                    fh.write(np.ascontiguousarray(band, dtype=first.dtype))
-            count += 1
-    return count
-
-
 def write_y4m(path: str, frames: Iterable) -> int:
     """Write 8-bit frames of one geometry as a Y4M file; returns the frame count."""
     count = 0
@@ -377,9 +349,7 @@ def write_y4m(path: str, frames: Iterable) -> int:
     try:
         for frame in frames:
             g = frame.geometry
-            if fh is not None:
-                _check_same(g, first, count)
-            else:
+            if fh is None:
                 first = g
                 if g.bit_depth != 8:
                     raise VideoFormatError("Y4M output supports 8-bit only")
@@ -389,6 +359,8 @@ def write_y4m(path: str, frames: Iterable) -> int:
                     f"YUV4MPEG2 W{g.width} H{g.height} F{g.fps_num}:{g.fps_den} Ip {tag}\n"
                     .encode("ascii")
                 )
+            elif g != first:   # rejected before any byte of the frame is written
+                raise VideoFormatError(f"frame {count} has geometry {g}, but frame 0 has {first}")
             fh.write(b"FRAME\n")
             for plane in frame.planes():
                 for band in bands(plane, 1):

@@ -17,6 +17,15 @@ def make_frame(rng, width=64, height=64, bit_depth=8, chroma="420", index=0):
     return PlanarFrame(g, y, u, v, index=index)
 
 
+def write_raw(path, frames):
+    """Write frames as headerless planar YUV: each plane in its frame's file
+    sample type, nothing checked."""
+    with open(path, "wb") as fh:
+        for frame in frames:
+            for plane in frame.planes():
+                fh.write(plane.astype(frame.geometry.dtype).tobytes())
+
+
 def flat_frame(value=128, width=64, height=64, chroma="420", index=0):
     g = VideoGeometry(width=width, height=height, chroma_format=chroma)
     luma, chroma_n = g.plane_samples()

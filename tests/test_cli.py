@@ -25,7 +25,7 @@ from intrarc import ratecontrol as rc_mod
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
-from conftest import FIRST_TREE, make_frame, malform_model
+from conftest import FIRST_TREE, make_frame, malform_model, write_raw
 
 
 @pytest.fixture
@@ -60,13 +60,13 @@ class TestAnalyze:
 
     def test_raw_without_geometry_is_usage_error(self, tmp_path, rng):
         raw = tmp_path / "clip.yuv"
-        vio.write_raw_yuv(str(raw), [make_frame(rng)])
+        write_raw(str(raw), [make_frame(rng)])
         out = tmp_path / "f.csv"
         assert run("analyze", "--input", raw, "--out", out) == 2
 
     def test_raw_with_geometry(self, tmp_path, rng):
         raw = tmp_path / "clip.yuv"
-        vio.write_raw_yuv(str(raw), [make_frame(rng, index=i) for i in range(2)])
+        write_raw(str(raw), [make_frame(rng, index=i) for i in range(2)])
         out = tmp_path / "f.csv"
         assert run("analyze", "--input", raw, "--raw-geometry", "64x64:8:420",
                    "--out", out) == 0
@@ -658,8 +658,8 @@ class TestRc:
     def test_odd_luma_only_size_runs_analyze_to_rc(self, tmp_path, rng):
         """--resolution is a frame size: an odd one that a 4:0:0 clip has is accepted."""
         raw = tmp_path / "clip.yuv"
-        vio.write_raw_yuv(str(raw), [make_frame(rng, width=65, chroma="400", index=i)
-                                     for i in range(3)])
+        write_raw(str(raw), [make_frame(rng, width=65, chroma="400", index=i)
+                             for i in range(3)])
         feats_path = tmp_path / "features.csv"
         assert run("analyze", "--input", raw, "--raw-geometry", "65x64:8:400",
                    "--out", feats_path) == 0
@@ -1680,7 +1680,7 @@ class TestUsage:
     def test_bad_flag_value_is_usage_error(self, tmp_path, y4m_file, training_csv, rng,
                                            capsys, argv, message):
         raw = tmp_path / "clip.yuv"
-        vio.write_raw_yuv(str(raw), [make_frame(rng, width=128)])
+        write_raw(str(raw), [make_frame(rng, width=128)])
         model = tmp_path / "m.ircf"
         forest.save(forest.train_arrays(*forest.read_training_csv(str(training_csv)),
                                         forest.ForestHyperparams(n_estimators=2, max_depth=3)),
@@ -1702,8 +1702,10 @@ class TestUsage:
          "--model is not read with --first-pass noise; give one or the other"),
         ([*RC_MISSING, "--model", "{missing}.ircf", "--encoder", "bogus"],
          "unknown encoder backend 'bogus'"),
+        ([*RC_MISSING, "--first-pass", "noise", "--encoder", "log:"],
+         "--encoder log: names no file; give log:<csv path>"),
     ], ids=["raw-geometry", "raw-geometry-with-y4m", "rc-no-model", "rc-model-with-noise",
-            "rc-encoder"])
+            "rc-encoder", "rc-encoder-log-without-path"])
     def test_usage_error_comes_before_any_input_is_read(self, tmp_path, y4m_file, capsys,
                                                         argv, message):
         """These rules are checked before any input is opened: a missing input

@@ -13,7 +13,7 @@ from intrarc import video_io as vio
 from intrarc.video_io import PlanarFrame, VideoGeometry
 
 import reference_features as ref
-from conftest import flat_frame, make_frame
+from conftest import flat_frame, make_frame, write_raw
 
 
 def naive_dct2(block):
@@ -399,7 +399,7 @@ class TestBands:
             vio.write_y4m(path, frames)
             read = vio.open_y4m(path)
         else:
-            vio.write_raw_yuv(path, frames)
+            write_raw(path, frames)
             read = vio.open_raw_yuv(path, g)
         whole = feat.extract_sequence(frames)
         with pytest.MonkeyPatch.context() as mp:

@@ -1,6 +1,8 @@
-import builtins
+import os
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from intrarc import features as feat
 from intrarc import video_io as vio
 
-from conftest import make_frame
+from conftest import make_frame, write_raw
 
 
 def read_whole(plane):
@@ -114,7 +116,7 @@ class TestRawYuv:
         g = vio.VideoGeometry(64, 64)
         path = tmp_path / "three.yuv"
         frames = [make_frame(rng, index=i) for i in range(3)]
-        vio.write_raw_yuv(str(path), frames)
+        write_raw(str(path), frames)
         out = list(vio.open_raw_yuv(str(path), g))
         assert len(out) == 3
         assert [f.index for f in out] == [0, 1, 2]
@@ -123,7 +125,7 @@ class TestRawYuv:
         g = vio.VideoGeometry(64, 64)
         path = tmp_path / "bad.yuv"
         frames = [make_frame(rng)]
-        vio.write_raw_yuv(str(path), frames)
+        write_raw(str(path), frames)
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(vio.VideoFormatError, match=str(g.frame_bytes())):
@@ -164,7 +166,7 @@ class TestRawYuv:
             g = vio.VideoGeometry(64, 64, bit_depth=bit_depth)
             frames = [make_frame(rng, bit_depth=bit_depth, index=i) for i in range(4)]
             path = tmp_path / f"rt{bit_depth}.yuv"
-            vio.write_raw_yuv(str(path), frames)
+            write_raw(str(path), frames)
             back = list(vio.open_raw_yuv(str(path), g))
             assert [f.index for f in back] == [0, 1, 2, 3]
             for a, b in zip(frames, back):
@@ -173,7 +175,7 @@ class TestRawYuv:
 
 
 class TestWriters:
-    @pytest.mark.parametrize("write", [vio.write_raw_yuv, vio.write_y4m])
+    @pytest.mark.parametrize("write", [vio.write_y4m])
     def test_mixed_geometry_rejected_before_the_frame(self, tmp_path, rng, write):
         """A file holds one geometry, so a frame of another is an error that
         names it, raised before any of its bytes are written."""
@@ -181,27 +183,20 @@ class TestWriters:
         frames = [make_frame(rng), make_frame(rng, width=128, index=1)]
         with pytest.raises(vio.VideoFormatError, match="frame 1 has geometry .*width=128"):
             write(str(path), frames)
-        header = len(b"YUV4MPEG2 W64 H64 F30:1 Ip C420\n") if write is vio.write_y4m else 0
-        marker = len(b"FRAME\n") if write is vio.write_y4m else 0
-        assert path.stat().st_size == header + marker + frames[0].geometry.frame_bytes()
+        header = b"YUV4MPEG2 W64 H64 F30:1 Ip C420\nFRAME\n"
+        assert path.stat().st_size == len(header) + frames[0].geometry.frame_bytes()
 
     @pytest.mark.parametrize("band_bytes", [vio.BAND_BYTES, 1000])
-    @pytest.mark.parametrize("write, read, width, height, bit_depth, chroma", [
-        (vio.write_y4m, vio.open_y4m, 130, 66, 8, "420"),
-        (vio.write_raw_yuv, vio.open_raw_yuv, 128, 96, 10, "420"),
-        (vio.write_raw_yuv, vio.open_raw_yuv, 65, 64, 8, "400"),
-    ], ids=["y4m", "raw-10-bit", "raw-400"])
+    @pytest.mark.parametrize("write", [vio.write_y4m], ids=["y4m"])
     def test_file_frames_copy_byte_identical(self, tmp_path, rng, monkeypatch, band_bytes,
-                                             write, read, width, height, bit_depth, chroma):
+                                             write):
         """A file frame's planes are written band by band, as the file holds
         them; a small band size makes each plane several bands."""
         monkeypatch.setattr(vio, "BAND_BYTES", band_bytes)
-        frames = [make_frame(rng, width=width, height=height, bit_depth=bit_depth,
-                             chroma=chroma, index=i) for i in range(3)]
+        frames = [make_frame(rng, width=130, height=66, index=i) for i in range(3)]
         src, copy = tmp_path / "src", tmp_path / "copy"
         write(str(src), frames)
-        opened = read(str(src)) if read is vio.open_y4m else read(str(src), frames[0].geometry)
-        assert write(str(copy), opened) == 3
+        assert write(str(copy), vio.open_y4m(str(src))) == 3
         assert copy.read_bytes() == src.read_bytes()
 
     def test_copying_a_2160p_clip_holds_one_band(self, tmp_path):
@@ -244,16 +239,16 @@ class TestFileFrames:
                 assert np.array_equal(x, read_whole(y))
 
     def test_y4m_stream_opens_its_file_once(self, tmp_path, rng, monkeypatch):
-        """The headers and every plane are read through one handle."""
+        """The headers and every plane are read through one descriptor."""
         path = tmp_path / "clip.y4m"
         vio.write_y4m(str(path), [make_frame(rng, index=i) for i in range(2)])
-        opened, real_open = [], builtins.open
+        opened, real_open = [], os.open
 
         def counting_open(file, *args, **kwargs):
             opened.append(file)
             return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_open)
         assert [read_whole(f.planes()[0]).size for f in vio.open_y4m(str(path))] == [4096, 4096]
         assert opened == [str(path)]
 
@@ -276,18 +271,59 @@ class TestFileFrames:
         path = tmp_path / "ten.yuv"
         frames = [make_frame(rng, width=128, height=96, bit_depth=10, index=i)
                   for i in range(3)]
-        vio.write_raw_yuv(str(path), frames)
-        read, real_read_into = [], vio._SharedFile.read_into
+        write_raw(str(path), frames)
+        read, real_read_rows = [], vio.FilePlane.read_rows
 
-        def counting_read_into(self, out, offset, index):
+        def counting_read_rows(self, row, out):
             read.append(out.nbytes)
-            return real_read_into(self, out, offset, index)
+            return real_read_rows(self, row, out)
 
-        monkeypatch.setattr(vio._SharedFile, "read_into", counting_read_into)
+        monkeypatch.setattr(vio.FilePlane, "read_rows", counting_read_rows)
         rows = feat.extract_sequence(vio.open_raw_yuv(str(path), frames[0].geometry),
                                      threads=threads)
         assert [r.frame_index for r in rows] == [0, 1, 2]
         assert sum(read) == path.stat().st_size
+
+    def test_threads_sharing_a_file_each_read_its_own_offsets(self, tmp_path, rng):
+        """Reads name their offsets, so threads that share one file's frames
+        get the file's bytes for every row range, however their reads interleave."""
+        g = vio.VideoGeometry(128, 96, bit_depth=10)
+        path = tmp_path / "ten.yuv"
+        write_raw(str(path), [make_frame(rng, width=128, height=96, bit_depth=10, index=i)
+                              for i in range(4)])
+        whole = path.read_bytes()
+        planes = [p for frame in vio.open_raw_yuv(str(path), g) for p in frame.planes()]
+
+        def reader(seed):
+            draw = np.random.default_rng(seed)
+            for _ in range(1000):
+                plane = planes[draw.integers(len(planes))]
+                h, w = plane.shape
+                row = int(draw.integers(h))
+                out = np.empty((int(draw.integers(1, h - row + 1)), w), plane.dtype)
+                start = plane.offset + row * w * plane.dtype.itemsize
+                assert plane.read_rows(row, out).tobytes() == whole[start:start + out.nbytes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # threads switch between nearly any two calls
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                list(pool.map(reader, range(4), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_short_reads_are_continued(self, tmp_path, rng, monkeypatch):
+        """A read that stops short before the file's end, as one of over 2 GiB
+        does, is continued rather than taken for a file that shrank."""
+        path = tmp_path / "clip.y4m"
+        frames = [make_frame(rng)]
+        vio.write_y4m(str(path), frames)
+        real_preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                            real_preadv(fd, [buffers[0][:100]], offset))
+        (frame,) = vio.open_y4m(str(path))
+        for x, y in zip(frames[0].planes(), frame.planes()):
+            assert np.array_equal(x, read_whole(y))
 
     @pytest.mark.parametrize("read", [
         vio.is_y4m,
