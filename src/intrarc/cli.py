@@ -260,7 +260,7 @@ def cmd_predict(args) -> int:
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
     bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
-    records = [(f.frame_index, args.qp, b) for f, b in zip(rows, bits)]
+    records = [(i, args.qp, b) for i, b in zip(rows[:, 6].astype(int).tolist(), bits)]
     if args.out:
         tables.write(args.out, PREDICT_COLUMNS, records)
         _write_manifest(args.out, "predict",
@@ -275,11 +275,15 @@ def cmd_predict(args) -> int:
 def _log_encoder(path: str, frame_indices: set[int]):
     """Encoder backed by an external per-(frame, q) bits table."""
     table: dict[tuple[int, int], float] = {}
+    repeat = None   # raised after the whole table, so that a bad value anywhere wins
     with tables.naming(path):
-        for line, (frame, q, bits) in tables.read(path, LOG_COLUMNS):
-            if (frame, q) in table:
-                raise ValueError(f"line {line} repeats frame {frame} at q={q}")
-            table[frame, q] = bits
+        for lines, columns in tables.blocks(path, LOG_COLUMNS):
+            for line, frame, q, bits in zip(lines, *columns):
+                if repeat is None and (frame, q) in table:
+                    repeat = ValueError(f"line {line} repeats frame {frame} at q={q}")
+                table[frame, q] = bits
+        if repeat:
+            raise repeat
         logged_frames = {f for f, _ in table}
         if logged_frames != frame_indices:
             odd = min(logged_frames ^ frame_indices)
@@ -296,8 +300,6 @@ def _log_encoder(path: str, frame_indices: set[int]):
 
 
 def cmd_rc(args) -> int:
-    from dataclasses import replace
-
     from intrarc import features as feat
     from intrarc import forest
     from intrarc import ratecontrol as rc
@@ -327,16 +329,17 @@ def cmd_rc(args) -> int:
     if log == "":
         raise UsageError("--encoder log: names no file; give log:<csv path>")
     rows = feat.read_features_csv(args.features)
+    indices = rows[:, 6].astype(int).tolist()
 
     if args.first_pass == "noise":
         noise = rc.build_noise_first_pass(len(rows), cfg, seed=args.seed)
-        records = [replace(r, frame_index=f.frame_index) for r, f in zip(noise, rows)]
+        records = [rc.FirstPassRecord(i, r.q_p, r.b_hat_p) for i, r in zip(indices, noise)]
     else:
         records = rc.build_first_pass(rows, forest.load(args.model), cfg)
     if log is None:
         encoder = sim.make_encoder(rows, resolution.pixels, sim_params)
     else:
-        encoder = _log_encoder(log, {f.frame_index for f in rows})
+        encoder = _log_encoder(log, set(indices))
 
     decisions, summary = rc.run_second_pass(records, encoder, cfg)
     rc.write_trace_csv(args.trace, decisions)

@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,9 +44,9 @@ class AnalyzerConfig:
     block_size_chroma: ClassVar[int] = 16
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    """Six-element complexity vector of one frame, in estimator order."""
+class FrameFeatures(NamedTuple):
+    """Six-element complexity vector of one frame, in estimator order, then
+    its index: a row of the (n, 7) matrix that `read_features_csv` returns."""
 
     e_y: float
     l_y: float
@@ -57,7 +57,12 @@ class FrameFeatures:
     frame_index: int = 0
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.e_y, self.l_y, self.e_u, self.l_u, self.e_v, self.l_v])
+        return np.array(self[:6])
+
+
+def as_rows(features) -> np.ndarray:
+    """`FrameFeatures` rows, a list of them or their matrix, as (n, 7) float64."""
+    return np.asarray(features, dtype=np.float64).reshape(-1, 7)
 
 
 @cache
@@ -190,8 +195,7 @@ def extract_features(frame, cfg: AnalyzerConfig = AnalyzerConfig()) -> FrameFeat
     else:
         e_u, l_u = _plane_features(u, cfg.block_size_chroma, scale, g.max_sample)
         e_v, l_v = _plane_features(v, cfg.block_size_chroma, scale, g.max_sample)
-    return FrameFeatures(e_y=e_y, l_y=l_y, e_u=e_u, l_u=l_u, e_v=e_v, l_v=l_v,
-                         frame_index=frame.index)
+    return FrameFeatures(e_y, l_y, e_u, l_u, e_v, l_v, frame.index)
 
 
 def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
@@ -226,13 +230,21 @@ def write_features_csv(path: str, rows: Iterable[FrameFeatures]) -> None:
     tables.write(path, FEATURE_COLUMNS, ([f.frame_index, *f.as_array()] for f in rows))
 
 
-def read_features_csv(path: str) -> list[FrameFeatures]:
-    """Rows of the features table, with strictly increasing frame indices."""
-    rows = []
+def read_features_csv(path: str) -> np.ndarray:
+    """The features table as an (n, 7) float64 matrix of `FrameFeatures`
+    rows, built one block of the reader at a time. Frame indices must rise
+    strictly; a bad value anywhere in the table is reported before that."""
+    blocks, prev, fault = [], -1, None
     with tables.naming(path):
-        for line, (idx, *values) in tables.read(path, FEATURE_COLUMNS):
-            if rows and idx <= rows[-1].frame_index:
-                raise ValueError(f"line {line} has frame_index {idx}, "
-                                 f"not above the previous {rows[-1].frame_index}")
-            rows.append(FrameFeatures(*values, frame_index=idx))
-    return rows
+        for lines, (idx, *values) in tables.blocks(path, FEATURE_COLUMNS):
+            block = np.array([*values, idx], dtype=np.float64).T
+            bad = np.flatnonzero(np.diff(block[:, 6], prepend=prev) <= 0)
+            if bad.size and fault is None:
+                k = bad[0]
+                fault = ValueError(f"line {lines[k]} has frame_index {idx[k]}, "
+                                   f"not above the previous {idx[k - 1] if k else prev}")
+            prev = idx[-1]
+            blocks.append(block)
+        if fault:
+            raise fault
+    return np.concatenate(blocks)

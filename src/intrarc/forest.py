@@ -38,12 +38,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from intrarc import tables
-from intrarc.features import FEATURE_COLUMNS, FrameFeatures
+from intrarc.features import FEATURE_COLUMNS, FrameFeatures, as_rows
 
 N_FEATURES = 7   # model inputs: a training row's columns from e_y to q
 _INT32_KEYS = 2**31   # split-search sort keys are int32 while below this bound
@@ -274,12 +274,14 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-def feature_matrix(features: Sequence[FrameFeatures], q) -> np.ndarray:
-    """The (n, 7) `[features | QP]` matrix; `q` is one QP or one per row."""
-    qs = np.broadcast_to(np.asarray(q, dtype=np.float64), (len(features),))
+def feature_matrix(features, q) -> np.ndarray:
+    """The (n, 7) `[features | QP]` matrix of `FrameFeatures` rows, a list or
+    a matrix (`features.as_rows`); `q` is one QP or one per row."""
+    rows = as_rows(features)
+    qs = np.broadcast_to(np.asarray(q, dtype=np.float64), (len(rows),))
     if ((qs < 0) | (qs > tables.QP_MAX)).any():
         raise ValueError(f"q={q} outside [0, {tables.QP_MAX}]")
-    return np.column_stack([np.reshape([f.as_array() for f in features], (-1, 6)), qs])
+    return np.column_stack([rows[:, :6], qs])
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray,

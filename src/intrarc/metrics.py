@@ -115,10 +115,7 @@ def bd_report(anchor: RdCurve, test: RdCurve) -> dict:
     return {"bd_rate_percent": rate, "psnr_overlap": [lo, hi], "method": BD_METHOD}
 
 
-def write_rd_csv(path: str, curve: RdCurve) -> None:
-    tables.write(path, RD_COLUMNS, zip(curve.rates, curve.psnrs))
-
-
 def read_rd_csv(path: str) -> RdCurve:
     with tables.naming(path):
-        return RdCurve.from_pairs(values for _, values in tables.read(path, RD_COLUMNS))
+        return RdCurve.from_pairs(pair for _, columns in tables.blocks(path, RD_COLUMNS)
+                                  for pair in zip(*columns))

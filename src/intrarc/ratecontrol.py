@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from intrarc import tables
-from intrarc.features import FrameFeatures
+from intrarc.features import as_rows
 from intrarc.forest import feature_matrix
 from intrarc.video_io import VideoGeometry
 
@@ -44,7 +44,7 @@ class EncoderError(ValueError):
     """Encoder backend failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirstPassRecord:
     frame_index: int
     q_p: int
@@ -112,22 +112,21 @@ def c_high_for(resolution: VideoGeometry) -> float:
     return min(hi_c, max(lo_c, lo_c + t * (hi_c - lo_c)))
 
 
-def build_first_pass(features: Sequence[FrameFeatures], model,
-                     cfg: RcConfig) -> list[FirstPassRecord]:
+def build_first_pass(features, model, cfg: RcConfig) -> list[FirstPassRecord]:
     """Predict bits for every frame at the configured first-pass QP.
 
-    `model` is a batched predictor mapping the (n, 7) `[features | QP]`
-    matrix to n bit counts, such as a trained ForestModel. A prediction
-    that is not finite or is below 1 bit raises ValueError.
+    `features` is a list of `FrameFeatures` or their (n, 7) matrix, and
+    `model` a batched predictor mapping the (n, 7) `[features | QP]` matrix
+    to n bit counts, such as a trained ForestModel. A prediction that is
+    not finite or is below 1 bit raises ValueError.
     """
-    if not features:
+    rows = as_rows(features)
+    if not len(rows):
         raise ValueError("no frames to build a first pass for")
     q = cfg.first_pass_qp
-    preds = np.asarray(model(feature_matrix(features, q)), dtype=np.float64).tolist()
-    return [
-        FirstPassRecord(frame_index=f.frame_index, q_p=q, b_hat_p=b)
-        for f, b in zip(features, preds)
-    ]
+    preds = np.asarray(model(feature_matrix(rows, q)), dtype=np.float64).tolist()
+    return [FirstPassRecord(frame_index=i, q_p=q, b_hat_p=b)
+            for i, b in zip(rows[:, 6].astype(int).tolist(), preds)]
 
 
 def build_noise_first_pass(n_frames: int, cfg: RcConfig, seed: int = 0) -> list[FirstPassRecord]:
@@ -141,11 +140,8 @@ def build_noise_first_pass(n_frames: int, cfg: RcConfig, seed: int = 0) -> list[
     rng = np.random.default_rng(seed)
     mu = cfg.frame_budget
     draws = rng.normal(mu, mu, size=n_frames)
-    return [
-        FirstPassRecord(frame_index=i, q_p=cfg.first_pass_qp,
-                        b_hat_p=max(1.0, float(np.floor(d + 0.5))))
-        for i, d in enumerate(draws)
-    ]
+    return [FirstPassRecord(i, cfg.first_pass_qp, max(1.0, float(np.floor(d + 0.5))))
+            for i, d in enumerate(draws)]
 
 
 def compute_target_bits(deficit: float, cfg: RcConfig) -> float:
@@ -206,7 +202,3 @@ def run_second_pass(records: Sequence[FirstPassRecord],
 def write_trace_csv(path: str, decisions: Iterable[FrameDecision]) -> None:
     """Per-frame trace: one row per decision, ending in its running deficit."""
     tables.write(path, TRACE_COLUMNS, decisions)
-
-
-def read_trace_csv(path: str) -> list[FrameDecision]:
-    return [FrameDecision(*values) for _, values in tables.read(path, TRACE_COLUMNS)]

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from intrarc.features import FrameFeatures
+from intrarc.features import FrameFeatures, as_rows
 from intrarc.forest import feature_matrix
 from intrarc.tables import BITS, QP_MAX
 
@@ -86,11 +86,8 @@ def random_features(n: int, rng: np.random.Generator, start_index: int = 0) -> l
     """Frame feature vectors drawn uniformly from their practical ranges."""
     e = rng.uniform(0.0, 1.0, size=(n, 3))
     l = rng.uniform(0.0, 1.0, size=(n, 3))
-    return [
-        FrameFeatures(e_y=e[i, 0], l_y=l[i, 0], e_u=e[i, 1], l_u=l[i, 1],
-                      e_v=e[i, 2], l_v=l[i, 2], frame_index=start_index + i)
-        for i in range(n)
-    ]
+    return [FrameFeatures(e[i, 0], l[i, 0], e[i, 1], l[i, 1], e[i, 2], l[i, 2], start_index + i)
+            for i in range(n)]
 
 
 def generate_dataset(n: int, params: SimParams, seed: int = 0,
@@ -107,12 +104,16 @@ def generate_dataset(n: int, params: SimParams, seed: int = 0,
     return feature_matrix(feats, qs), y
 
 
-def make_encoder(features: list[FrameFeatures], pixels: int, params: SimParams):
-    """Encoder for the second pass: (frame index, QP, bit target) -> actual bits."""
-    by_index = {f.frame_index: f for f in features}
+def make_encoder(features, pixels: int, params: SimParams):
+    """Encoder for the second pass: (frame index, QP, bit target) -> actual
+    bits, of `FrameFeatures` rows, a list or a matrix; each call builds the
+    one `FrameFeatures` that `sim_bits` reads from its frame's row."""
+    rows = as_rows(features)
+    position = {i: k for k, i in enumerate(rows[:, 6].astype(int).tolist())}
 
     def encode(frame_index: int, q: int, target_bits: float) -> int:
-        return sim_bits(by_index[frame_index], q, pixels, params)
+        row = rows[position[frame_index], :6].tolist()
+        return sim_bits(FrameFeatures(*row, frame_index=frame_index), q, pixels, params)
 
     return encode
 

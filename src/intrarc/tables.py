@@ -150,11 +150,3 @@ def blocks(path: str, columns: dict[str, Column]) -> Iterator[tuple[list[int], l
                 break
         if not n_rows:
             raise ValueError("no data rows")
-
-
-def read(path: str, columns: dict[str, Column]) -> list[tuple[int, list]]:
-    """Every row as (line number, values); `blocks` says what is rejected."""
-    rows = []
-    for lines, values in blocks(path, columns):
-        rows.extend(zip(lines, map(list, zip(*values))))
-    return rows

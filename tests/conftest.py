@@ -3,6 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
+from intrarc import metrics, tables
+from intrarc import ratecontrol as rc
 from intrarc.video_io import PlanarFrame, VideoGeometry
 
 
@@ -36,6 +38,21 @@ def flat_frame(value=128, width=64, height=64, chroma="420", index=0):
         np.full(chroma_n, value, np.uint8),
         index=index,
     )
+
+
+def read_rows(path, columns):
+    """Every row of a table as (line number, values), flattened from `tables.blocks`."""
+    return [(line, list(row)) for lines, values in tables.blocks(path, columns)
+            for line, row in zip(lines, zip(*values))]
+
+
+def read_trace_csv(path):
+    """The decisions of an rc trace."""
+    return [rc.FrameDecision(*values) for _, values in read_rows(path, rc.TRACE_COLUMNS)]
+
+
+def write_rd_csv(path, curve):
+    tables.write(path, metrics.RD_COLUMNS, zip(curve.rates, curve.psnrs))
 
 
 # Model file layout: a 12-byte header (magic, version, tree count), the

@@ -14,7 +14,7 @@ from intrarc import cli, features, forest, metrics
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
-from conftest import make_frame
+from conftest import make_frame, write_rd_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import spans  # noqa: E402
@@ -38,8 +38,8 @@ def test_every_wrapped_name_records_a_span(tmp_path, rng):
     X, y = sim.generate_dataset(200, sim.SimParams(kappa=1.0), seed=1, pixels=64 * 64)
     forest.write_training_csv(str(tmp_path / "train.csv"), X, y)
     pairs = [(1e5, 30.0), (2e5, 33.0), (4e5, 36.0), (8e5, 39.0)]
-    metrics.write_rd_csv(str(tmp_path / "anchor.csv"), metrics.RdCurve.from_pairs(pairs))
-    metrics.write_rd_csv(str(tmp_path / "test.csv"),
+    write_rd_csv(str(tmp_path / "anchor.csv"), metrics.RdCurve.from_pairs(pairs))
+    write_rd_csv(str(tmp_path / "test.csv"),
                          metrics.RdCurve.from_pairs([(r * 1.1, p) for r, p in pairs]))
     commands = [
         f"analyze --input {clip} --threads 2 --out {tmp_path}/f.csv",

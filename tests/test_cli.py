@@ -25,7 +25,8 @@ from intrarc import ratecontrol as rc_mod
 from intrarc import simulator as sim
 from intrarc import video_io as vio
 
-from conftest import FIRST_TREE, make_frame, malform_model, write_raw
+from conftest import (FIRST_TREE, make_frame, malform_model, read_trace_csv, write_raw,
+                      write_rd_csv)
 
 
 @pytest.fixture
@@ -539,8 +540,8 @@ class TestRc:
         assert run(*args, "--model", model_path, "--trace", trace_m) == 0
         trace_n = tmp_path / "trace_noise.csv"
         assert run(*args, "--first-pass", "noise", "--seed", 1, "--trace", trace_n) == 0
-        q_model = [d.q_prime_p for d in rc_mod.read_trace_csv(str(trace_m))]
-        q_noise = [d.q_prime_p for d in rc_mod.read_trace_csv(str(trace_n))]
+        q_model = [d.q_prime_p for d in read_trace_csv(str(trace_m))]
+        q_noise = [d.q_prime_p for d in read_trace_csv(str(trace_n))]
         assert np.std(q_model) < np.std(q_noise)
         summary_n = json.loads((tmp_path / "trace_noise.csv.manifest.json").read_text())
         assert abs(summary_n["summary"]["bitrate_deviation"]) <= 0.05
@@ -585,7 +586,7 @@ class TestRc:
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", 1e6, "--resolution", "1920x1080",
                    "--encoder", f"log:{log}", "--trace", trace) == 0
-        assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 11))
+        assert [d.frame_index for d in read_trace_csv(str(trace))] == list(range(5, 11))
 
     def test_log_encoder_short_row_names_line(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -666,7 +667,7 @@ class TestRc:
         trace = tmp_path / "trace.csv"
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", 1e5, "--resolution", "65x64", "--trace", trace) == 0
-        assert len(rc_mod.read_trace_csv(str(trace))) == 3
+        assert len(read_trace_csv(str(trace))) == 3
         manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
         assert manifest["config"]["resolution"] == "65x64"
 
@@ -678,7 +679,7 @@ class TestRc:
         assert run("rc", "--features", feats_path, "--first-pass", "noise",
                    "--bitrate", self._target(feats, 30, 1920 * 1080),
                    "--resolution", "1920x1080", "--trace", trace) == 0
-        assert [d.frame_index for d in rc_mod.read_trace_csv(str(trace))] == list(range(5, 25))
+        assert [d.frame_index for d in read_trace_csv(str(trace))] == list(range(5, 25))
 
     def test_nan_bitrate_is_usage_error(self, tmp_path, capsys):
         feats_path, _ = _features_csv(tmp_path, n=5)
@@ -791,7 +792,7 @@ def pinned_rc_run(tmp_path, first_pass):
     assert run("rc", "--features", feats, *source, "--bitrate", 5999999, "--fps", "30000/1001",
                "--resolution", "3840x2160", "--sim-noise", 0.1, "--sim-seed", 2,
                "--trace", trace, "--report", report) == 0
-    decisions = rc_mod.read_trace_csv(str(trace))
+    decisions = read_trace_csv(str(trace))
     summary = json.loads(report.read_text())
     return ([d.q_prime_p for d in decisions], [int(d.actual_bits) for d in decisions],
             [f"{d.deficit:.9g}" for d in decisions],
@@ -861,8 +862,8 @@ def _write_curves(tmp_path, scale):
              for q in (37, 32, 27, 22)]
     anchor = tmp_path / "anchor.csv"
     test = tmp_path / "test.csv"
-    metrics.write_rd_csv(str(anchor), metrics.RdCurve.from_pairs(pairs))
-    metrics.write_rd_csv(str(test), metrics.RdCurve.from_pairs(
+    write_rd_csv(str(anchor), metrics.RdCurve.from_pairs(pairs))
+    write_rd_csv(str(test), metrics.RdCurve.from_pairs(
         [(r * scale, p) for r, p in pairs]))
     return anchor, test
 
@@ -884,9 +885,9 @@ class TestBdrate:
     def test_disjoint_ranges_exit_3(self, tmp_path, capsys):
         lo = tmp_path / "lo.csv"
         hi = tmp_path / "hi.csv"
-        metrics.write_rd_csv(str(lo), metrics.RdCurve.from_pairs(
+        write_rd_csv(str(lo), metrics.RdCurve.from_pairs(
             [(1e5, 20), (2e5, 22), (3e5, 24), (4e5, 26)]))
-        metrics.write_rd_csv(str(hi), metrics.RdCurve.from_pairs(
+        write_rd_csv(str(hi), metrics.RdCurve.from_pairs(
             [(1e6, 40), (2e6, 42), (3e6, 44), (4e6, 46)]))
         assert run("bdrate", "--anchor", lo, "--test", hi) == 3
         assert "no PSNR overlap" in capsys.readouterr().err
@@ -1073,7 +1074,7 @@ def cli_inputs(tmp_path_factory):
     forest.save(model, str(root / "m.ircf"))
     feat.write_features_csv(str(root / "features.csv"),
                             sim.random_features(3, np.random.default_rng(0)))
-    metrics.write_rd_csv(str(root / "anchor.csv"), metrics.RdCurve.from_pairs(
+    write_rd_csv(str(root / "anchor.csv"), metrics.RdCurve.from_pairs(
         [(1e5, 30.0), (2e5, 33.0), (4e5, 36.0), (8e5, 39.0)]))
     return root
 

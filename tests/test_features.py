@@ -416,9 +416,26 @@ class TestCsv:
         text = path.read_text()
         assert text.splitlines()[0] == "frame_index,e_y,l_y,e_u,l_u,e_v,l_v"
         back = feat.read_features_csv(str(path))
-        assert len(back) == 3
-        for a, b in zip(rows, back):
-            np.testing.assert_allclose(b.as_array(), a.as_array(), rtol=1e-8)
+        assert back.shape == (3, 7) and back.dtype == np.float64
+        np.testing.assert_allclose(back, np.asarray(rows, dtype=np.float64), rtol=1e-8)
+
+    def test_reading_holds_the_matrix_and_little_else(self, tmp_path):
+        """The table is read block by block into one float64 matrix: 56
+        bytes a row held, and at most the blocks and the matrix at once."""
+        from intrarc import simulator as sim
+
+        n = 20_000
+        path = tmp_path / "f.csv"
+        feat.write_features_csv(str(path), sim.random_features(n, np.random.default_rng(5)))
+        tracemalloc.start()
+        try:
+            rows = feat.read_features_csv(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (n, 7) and rows.dtype == np.float64
+        assert held <= 64 * n
+        assert peak < 256 * n
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -6,6 +6,8 @@ from intrarc import metrics
 from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 
+from conftest import write_rd_csv
+
 F = FrameFeatures(0.5, 0.5, 0.3, 0.5, 0.3, 0.5, 0)
 
 
@@ -43,7 +45,7 @@ class TestRdCurve:
     def test_csv_round_trip(self, tmp_path):
         curve = sim_curve()
         path = tmp_path / "rd.csv"
-        metrics.write_rd_csv(str(path), curve)
+        write_rd_csv(str(path), curve)
         assert path.read_text().splitlines()[0] == "bitrate,psnr_yuv"
         back = metrics.read_rd_csv(str(path))
         assert back.rates == pytest.approx(curve.rates, rel=1e-8)

@@ -12,6 +12,8 @@ from intrarc import simulator as sim
 from intrarc.features import FrameFeatures
 from intrarc.video_io import VideoGeometry
 
+from conftest import read_trace_csv
+
 RES_4K = VideoGeometry(3840, 2160)
 RES_480 = VideoGeometry(854, 480)
 RES_1080 = VideoGeometry(1920, 1080)
@@ -180,6 +182,38 @@ class TestFirstPass:
         records = rc.build_first_pass(feats, oracle, cfg)
         b = [r.b_hat_p for r in records]
         assert all(x <= y for x, y in zip(b, b[1:]))
+
+
+def test_a_list_of_rows_and_the_read_matrix_give_the_same_results(tmp_path):
+    """A list of FrameFeatures and the matrix read back from its table are
+    the same rows to feature_matrix, build_first_pass and make_encoder."""
+    from intrarc import features as feat
+    from intrarc import forest
+
+    rng = np.random.default_rng(8)
+    # Six decimals survive the table's 9 significant digits exactly.
+    listed = [FrameFeatures(*np.round(rng.uniform(0, 1, 6), 6).tolist(), frame_index=5 + 3 * i)
+              for i in range(12)]
+    path = tmp_path / "f.csv"
+    feat.write_features_csv(str(path), listed)
+    rows = feat.read_features_csv(str(path))
+    for q in (30, rng.integers(0, 64, 12)):
+        assert np.array_equal(forest.feature_matrix(listed, q), forest.feature_matrix(rows, q))
+
+    oracle = sim.make_oracle_predictor(RES_1080.pixels, sim.SimParams())
+    from_list, from_matrix = (rc.build_first_pass(feats, oracle, cfg_4k())
+                              for feats in (listed, rows))
+    assert from_matrix == from_list
+    assert [r.frame_index for r in from_matrix] == [f.frame_index for f in listed]
+    assert all(type(r.frame_index) is int for r in from_matrix)
+
+    for noise in (0.0, 0.3):
+        params = sim.SimParams(noise_sigma=noise, seed=2)
+        encoders = [sim.make_encoder(feats, RES_1080.pixels, params) for feats in (listed, rows)]
+        for f, q in [(0, 0), (4, 22), (7, 37), (11, 51), (11, 63)]:
+            frame = listed[f]
+            spends = {encode(frame.frame_index, q, 1000.0) for encode in encoders}
+            assert spends == {sim.sim_bits(frame, q, RES_1080.pixels, params)}
 
 
 class TestNoiseFirstPass:
@@ -360,7 +394,7 @@ class TestTraceCsv:
         rc.write_trace_csv(str(path), decisions)
         header = path.read_text().splitlines()[0]
         assert header == "frame_index,q_p,b_hat,b_prime,q_bar,q_prime,actual_bits,deficit"
-        back = rc.read_trace_csv(str(path))
+        back = read_trace_csv(str(path))
         assert len(back) == len(decisions)
         for a, b in zip(decisions, back):
             assert a.frame_index == b.frame_index

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from intrarc import cli
 from intrarc import features as feat
 from intrarc import forest, metrics, tables
-from intrarc import ratecontrol as rc
 
 import reference_tables
+from conftest import read_rows, read_trace_csv
 
 # Every reader of a CSV table, with its header and one valid row.
 READERS = {
@@ -19,7 +19,7 @@ READERS = {
     "training": (forest.read_training_csv, "frame_index,e_y,l_y,e_u,l_u,e_v,l_v,q,bits",
                  "0,1,0.5,1,0.5,1,0.5,32,1000"),
     "rd": (metrics.read_rd_csv, "bitrate,psnr_yuv", "1000,30"),
-    "trace": (rc.read_trace_csv, "frame_index,q_p,b_hat,b_prime,q_bar,q_prime,actual_bits,deficit",
+    "trace": (read_trace_csv, "frame_index,q_p,b_hat,b_prime,q_bar,q_prime,actual_bits,deficit",
               "0,32,100,100,32,32,100,0"),
 }
 
@@ -35,7 +35,7 @@ def test_write_formats_ints_as_they_are_and_floats_to_9_digits(tmp_path):
     columns = {"frame_index": tables.INDEX, "q": tables.QP, "value": tables.REAL}
     tables.write(str(path), columns, [(7, 32, 1234567890), (8, 0, 0.1 + 0.2)])
     assert path.read_bytes() == b"frame_index,q,value\r\n7,32,1.23456789e+09\r\n8,0,0.3\r\n"
-    assert tables.read(str(path), columns) == [(2, [7, 32, 1.23456789e9]), (3, [8, 0, 0.3])]
+    assert read_rows(str(path), columns) == [(2, [7, 32, 1.23456789e9]), (3, [8, 0, 0.3])]
 
 
 @pytest.mark.parametrize("name", READERS)
@@ -101,7 +101,7 @@ def test_table_without_rows_rejected(tmp_path, name):
 def test_trace_short_row_names_line(tmp_path):
     path = _write(tmp_path, READERS["trace"][1], ["0,32,100,100,32,32,100"])
     with pytest.raises(ValueError, match="line 2 has 7 fields, expected 8"):
-        rc.read_trace_csv(path)
+        read_trace_csv(path)
 
 
 def test_non_utf8_bytes_name_file(tmp_path):
@@ -137,7 +137,7 @@ def test_frame_index_past_2_to_53_names_file_line_and_column(tmp_path, name, tex
 def test_frame_index_of_2_to_53_is_read(tmp_path):
     _, header, row = READERS["training"]
     path = _write(tmp_path, header, [row.replace("0", str(2**53), 1)])
-    assert tables.read(path, forest.TRAINING_COLUMNS)[0][1][0] == 2**53
+    assert read_rows(path, forest.TRAINING_COLUMNS)[0][1][0] == 2**53
 
 
 def test_earlier_bad_value_wins_over_later_faults(tmp_path):
@@ -217,6 +217,6 @@ def test_block_reader_matches_the_row_reader(tmp_path_factory, text, block):
     try:
         want = _outcome(reference_tables.read, str(path))
         with mock.patch.object(tables, "BLOCK_ROWS", block):
-            assert _outcome(tables.read, str(path)) == want
+            assert _outcome(read_rows, str(path)) == want
     finally:
         csv.field_size_limit(limit)
