@@ -195,7 +195,8 @@ def extract_features(frame, cfg: AnalyzerConfig = AnalyzerConfig()) -> FrameFeat
     else:
         e_u, l_u = _plane_features(u, cfg.block_size_chroma, scale, g.max_sample)
         e_v, l_v = _plane_features(v, cfg.block_size_chroma, scale, g.max_sample)
-    return FrameFeatures(e_y, l_y, e_u, l_u, e_v, l_v, frame.index)
+    return FrameFeatures(e_y=e_y, l_y=l_y, e_u=e_u, l_u=l_u, e_v=e_v, l_v=l_v,
+                         frame_index=frame.index)
 
 
 def extract_sequence(frames: Iterable, cfg: AnalyzerConfig = AnalyzerConfig(),
@@ -233,18 +234,15 @@ def write_features_csv(path: str, rows: Iterable[FrameFeatures]) -> None:
 def read_features_csv(path: str) -> np.ndarray:
     """The features table as an (n, 7) float64 matrix of `FrameFeatures`
     rows, built one block of the reader at a time. Frame indices must rise
-    strictly; a bad value anywhere in the table is reported before that."""
-    blocks, prev, fault = [], -1, None
+    strictly, checked after every value, so a bad value anywhere wins."""
     with tables.naming(path):
-        for lines, (idx, *values) in tables.blocks(path, FEATURE_COLUMNS):
-            block = np.array([*values, idx], dtype=np.float64).T
-            bad = np.flatnonzero(np.diff(block[:, 6], prepend=prev) <= 0)
-            if bad.size and fault is None:
-                k = bad[0]
-                fault = ValueError(f"line {lines[k]} has frame_index {idx[k]}, "
-                                   f"not above the previous {idx[k - 1] if k else prev}")
-            prev = idx[-1]
-            blocks.append(block)
-        if fault:
-            raise fault
-    return np.concatenate(blocks)
+        blocks = [(lines, np.array([*values, idx], dtype=np.float64).T)
+                  for lines, (idx, *values) in tables.blocks(path, FEATURE_COLUMNS)]
+        rows = np.concatenate([block for _, block in blocks])
+        bad = np.flatnonzero(np.diff(rows[:, 6]) <= 0)
+        if bad.size:
+            k = bad[0] + 1
+            line = [line for lines, _ in blocks for line in lines][k]
+            raise ValueError(f"line {line} has frame_index {int(rows[k, 6])}, "
+                             f"not above the previous {int(rows[k - 1, 6])}")
+    return rows

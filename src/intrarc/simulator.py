@@ -86,8 +86,11 @@ def random_features(n: int, rng: np.random.Generator, start_index: int = 0) -> l
     """Frame feature vectors drawn uniformly from their practical ranges."""
     e = rng.uniform(0.0, 1.0, size=(n, 3))
     l = rng.uniform(0.0, 1.0, size=(n, 3))
-    return [FrameFeatures(e[i, 0], l[i, 0], e[i, 1], l[i, 1], e[i, 2], l[i, 2], start_index + i)
-            for i in range(n)]
+    return [
+        FrameFeatures(e_y=e[i, 0], l_y=l[i, 0], e_u=e[i, 1], l_u=l[i, 1],
+                      e_v=e[i, 2], l_v=l[i, 2], frame_index=start_index + i)
+        for i in range(n)
+    ]
 
 
 def generate_dataset(n: int, params: SimParams, seed: int = 0,
@@ -105,9 +108,9 @@ def generate_dataset(n: int, params: SimParams, seed: int = 0,
 
 
 def make_encoder(features, pixels: int, params: SimParams):
-    """Encoder for the second pass: (frame index, QP, bit target) -> actual
-    bits, of `FrameFeatures` rows, a list or a matrix; each call builds the
-    one `FrameFeatures` that `sim_bits` reads from its frame's row."""
+    """Second-pass encoder over `FrameFeatures` rows, a list or their matrix:
+    (frame index, QP, bit target) -> actual bits. Each call builds the one
+    `FrameFeatures` that `sim_bits` reads from its frame's row."""
     rows = as_rows(features)
     position = {i: k for k, i in enumerate(rows[:, 6].astype(int).tolist())}
 
