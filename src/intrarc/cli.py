@@ -20,6 +20,7 @@ A caller that loaded numpy first keeps its environment and its BLAS.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import stat
@@ -260,7 +261,7 @@ def cmd_predict(args) -> int:
     model = forest.load(args.model)
     rows = feat.read_features_csv(args.features)
     bits = forest.predict_batch(model, forest.feature_matrix(rows, args.qp)).tolist()
-    records = [(i, args.qp, b) for i, b in zip(rows[:, 6].astype(int).tolist(), bits)]
+    records = zip(rows[:, 6].astype(int).tolist(), itertools.repeat(args.qp), bits)
     if args.out:
         tables.write(args.out, PREDICT_COLUMNS, records)
         _write_manifest(args.out, "predict",

@@ -363,10 +363,10 @@ def save(model: ForestModel, path: str) -> int:
         chunks.append(tree.feature.astype("<i1").tobytes())
         chunks.append(tree.value.astype("<f8").tobytes())
     body = b"".join(chunks)
-    blob = body + struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
+    return len(body) + 4
 
 
 def _read_tree(body: memoryview, pos: int) -> tuple[Tree, int]:

@@ -14,6 +14,7 @@ bands, as slices of their planes.
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 import weakref
@@ -94,15 +95,9 @@ class VideoGeometry:
         chroma = (self.height // 2, self.width // 2) if self.chroma_format == "420" else (0, 0)
         return (self.height, self.width), chroma, chroma
 
-    def plane_samples(self) -> tuple[int, int]:
-        """(luma samples, chroma samples per plane) for one frame."""
-        (h, w), (ch, cw), _ = self.plane_shapes()
-        return h * w, ch * cw
-
     def frame_bytes(self) -> int:
         """Byte size of one frame's payload in planar layout."""
-        luma, chroma = self.plane_samples()
-        return (luma + 2 * chroma) * self.dtype.itemsize
+        return sum(h * w for h, w in self.plane_shapes()) * self.dtype.itemsize
 
 
 def _check_range(samples: np.ndarray, hi: int, index: int) -> None:
@@ -126,17 +121,13 @@ class PlanarFrame:
     index: int = 0
 
     def __post_init__(self):
-        luma, chroma = self.geometry.plane_samples()
-        if self.y_plane.size != luma:
-            raise VideoFormatError(
-                f"frame {self.index}: Y plane has {self.y_plane.size} samples, expected {luma}"
-            )
-        for name, plane in (("U", self.u_plane), ("V", self.v_plane)):
-            if plane.size != chroma:
+        planes = (self.y_plane, self.u_plane, self.v_plane)
+        for name, plane, (h, w) in zip("YUV", planes, self.geometry.plane_shapes()):
+            if plane.size != h * w:
                 raise VideoFormatError(
-                    f"frame {self.index}: {name} plane has {plane.size} samples, expected {chroma}"
+                    f"frame {self.index}: {name} plane has {plane.size} samples, expected {h * w}"
                 )
-        for plane in (self.y_plane, self.u_plane, self.v_plane):
+        for plane in planes:
             if plane.size:
                 if plane.dtype.kind not in "ui":
                     raise VideoFormatError(
@@ -343,30 +334,27 @@ def open_raw_yuv(path: str, geometry: VideoGeometry) -> Iterator[FileFrame]:
 
 
 def write_y4m(path: str, frames: Iterable) -> int:
-    """Write 8-bit frames of one geometry as a Y4M file; returns the frame count."""
+    """Write 8-bit frames of one geometry as a Y4M file; returns the frame count.
+    The file is created once the first frame is accepted: an empty stream writes nothing."""
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        return 0
+    g = first.geometry
+    if g.bit_depth != 8:
+        raise VideoFormatError("Y4M output supports 8-bit only")
+    tag = "C420" if g.chroma_format == "420" else "Cmono"
     count = 0
-    fh = None
-    try:
-        for frame in frames:
-            g = frame.geometry
-            if fh is None:
-                first = g
-                if g.bit_depth != 8:
-                    raise VideoFormatError("Y4M output supports 8-bit only")
-                tag = "C420" if g.chroma_format == "420" else "Cmono"
-                fh = open(path, "wb")
-                fh.write(
-                    f"YUV4MPEG2 W{g.width} H{g.height} F{g.fps_num}:{g.fps_den} Ip {tag}\n"
-                    .encode("ascii")
-                )
-            elif g != first:   # rejected before any byte of the frame is written
-                raise VideoFormatError(f"frame {count} has geometry {g}, but frame 0 has {first}")
+    with open(path, "wb") as fh:
+        fh.write(f"YUV4MPEG2 W{g.width} H{g.height} F{g.fps_num}:{g.fps_den} Ip {tag}\n"
+                 .encode("ascii"))
+        for frame in itertools.chain([first], frames):
+            if frame.geometry != g:   # rejected before any byte of the frame is written
+                raise VideoFormatError(
+                    f"frame {count} has geometry {frame.geometry}, but frame 0 has {g}")
             fh.write(b"FRAME\n")
             for plane in frame.planes():
                 for band in bands(plane, 1):
                     fh.write(np.ascontiguousarray(band, dtype=np.uint8))
             count += 1
-    finally:
-        if fh is not None:
-            fh.close()
     return count

@@ -12,10 +12,7 @@ def make_frame(rng, width=64, height=64, bit_depth=8, chroma="420", index=0):
     g = VideoGeometry(width=width, height=height, bit_depth=bit_depth, chroma_format=chroma)
     hi = g.max_sample + 1
     dtype = np.uint8 if bit_depth == 8 else np.uint16
-    luma, chroma_n = g.plane_samples()
-    y = rng.integers(0, hi, luma, dtype=dtype)
-    u = rng.integers(0, hi, chroma_n, dtype=dtype)
-    v = rng.integers(0, hi, chroma_n, dtype=dtype)
+    y, u, v = (rng.integers(0, hi, h * w, dtype=dtype) for h, w in g.plane_shapes())
     return PlanarFrame(g, y, u, v, index=index)
 
 
@@ -30,14 +27,8 @@ def write_raw(path, frames):
 
 def flat_frame(value=128, width=64, height=64, chroma="420", index=0):
     g = VideoGeometry(width=width, height=height, chroma_format=chroma)
-    luma, chroma_n = g.plane_samples()
-    return PlanarFrame(
-        g,
-        np.full(luma, value, np.uint8),
-        np.full(chroma_n, value, np.uint8),
-        np.full(chroma_n, value, np.uint8),
-        index=index,
-    )
+    y, u, v = (np.full(h * w, value, np.uint8) for h, w in g.plane_shapes())
+    return PlanarFrame(g, y, u, v, index=index)
 
 
 def read_rows(path, columns):

@@ -429,6 +429,23 @@ class TestSerialization:
         assert peak <= size + 128 * 1024
         np.testing.assert_array_equal(forest.predict_batch(loaded, X), model(X))
 
+    def test_save_holds_the_file_bytes_twice_at_most(self, tmp_path):
+        """save joins the trees' records once and writes the CRC after them:
+        its peak is the records and their join, with no third copy."""
+        k = 600   # split nodes a tree, complete in level order: 1,201 nodes
+        feature = np.where(np.arange(2 * k + 1) < k, 0, -1).astype(np.int8)
+        model = forest.ForestModel([forest.Tree(feature=feature, value=np.ones(2 * k + 1))] * 100)
+        path = tmp_path / "m.ircf"
+        tracemalloc.start()
+        try:
+            size = forest.save(model, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == path.stat().st_size >= 1 << 20
+        assert peak <= 2.5 * size
+        assert len(forest.load(str(path)).trees) == 100
+
     def test_load_reads_a_pipe(self, tmp_path):
         """A pipe's size is unknown to fstat; load reads it to the end."""
         model = forest.train_arrays(*q_split_data(), forest.ForestHyperparams(n_estimators=3))

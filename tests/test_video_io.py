@@ -175,29 +175,38 @@ class TestRawYuv:
 
 
 class TestWriters:
-    @pytest.mark.parametrize("write", [vio.write_y4m])
-    def test_mixed_geometry_rejected_before_the_frame(self, tmp_path, rng, write):
+    def test_mixed_geometry_rejected_before_the_frame(self, tmp_path, rng):
         """A file holds one geometry, so a frame of another is an error that
         names it, raised before any of its bytes are written."""
         path = tmp_path / "mixed"
         frames = [make_frame(rng), make_frame(rng, width=128, index=1)]
         with pytest.raises(vio.VideoFormatError, match="frame 1 has geometry .*width=128"):
-            write(str(path), frames)
+            vio.write_y4m(str(path), frames)
         header = b"YUV4MPEG2 W64 H64 F30:1 Ip C420\nFRAME\n"
         assert path.stat().st_size == len(header) + frames[0].geometry.frame_bytes()
 
     @pytest.mark.parametrize("band_bytes", [vio.BAND_BYTES, 1000])
-    @pytest.mark.parametrize("write", [vio.write_y4m], ids=["y4m"])
-    def test_file_frames_copy_byte_identical(self, tmp_path, rng, monkeypatch, band_bytes,
-                                             write):
+    def test_file_frames_copy_byte_identical(self, tmp_path, rng, monkeypatch, band_bytes):
         """A file frame's planes are written band by band, as the file holds
         them; a small band size makes each plane several bands."""
         monkeypatch.setattr(vio, "BAND_BYTES", band_bytes)
         frames = [make_frame(rng, width=130, height=66, index=i) for i in range(3)]
         src, copy = tmp_path / "src", tmp_path / "copy"
-        write(str(src), frames)
-        assert write(str(copy), vio.open_y4m(str(src))) == 3
+        vio.write_y4m(str(src), frames)
+        assert vio.write_y4m(str(copy), vio.open_y4m(str(src))) == 3
         assert copy.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("frames", [[], iter([])], ids=["list", "iterator"])
+    def test_empty_stream_writes_no_file(self, tmp_path, frames):
+        path = tmp_path / "empty.y4m"
+        assert vio.write_y4m(str(path), frames) == 0
+        assert not path.exists()
+
+    def test_ten_bit_first_frame_rejected_before_the_file_is_made(self, tmp_path, rng):
+        path = tmp_path / "ten.y4m"
+        with pytest.raises(vio.VideoFormatError, match="Y4M output supports 8-bit only"):
+            vio.write_y4m(str(path), [make_frame(rng, bit_depth=10)])
+        assert not path.exists()
 
     def test_copying_a_2160p_clip_holds_one_band(self, tmp_path):
         """Copying file frames holds one band of a plane at a time, not a
@@ -355,10 +364,30 @@ class TestGeometry:
             vio.VideoGeometry(64, 64, bit_depth=12)
 
     def test_plane_size_mismatch_rejected(self):
+        """A plane of the wrong sample count is named, with the count its shape needs."""
         g = vio.VideoGeometry(64, 64)
-        with pytest.raises(vio.VideoFormatError, match="Y plane"):
-            vio.PlanarFrame(g, np.zeros(10, np.uint8), np.zeros(1024, np.uint8),
-                            np.zeros(1024, np.uint8))
+        for plane, (name, expected) in enumerate([("Y", 4096), ("U", 1024), ("V", 1024)]):
+            planes = [np.zeros(n, np.uint8) for n in (64 * 64, 32 * 32, 32 * 32)]
+            planes[plane] = np.zeros(10, np.uint8)
+            with pytest.raises(vio.VideoFormatError,
+                               match=f"^frame 3: {name} plane has 10 samples, "
+                                     f"expected {expected}$"):
+                vio.PlanarFrame(g, *planes, index=3)
+
+    def test_size_fault_reported_before_sample_type(self):
+        """Every plane's sample count is checked before any plane's type."""
+        g = vio.VideoGeometry(64, 64)
+        with pytest.raises(vio.VideoFormatError, match="V plane has 1000 samples"):
+            vio.PlanarFrame(g, np.zeros(64 * 64, np.float64), np.zeros(1024, np.uint8),
+                            np.zeros(1000, np.uint8))
+
+    @pytest.mark.parametrize("width, bit_depth, chroma, nbytes", [
+        (64, 8, "420", 6144), (64, 10, "420", 12288), (64, 8, "400", 4096),
+        (64, 10, "400", 8192), (65, 8, "400", 4160)])
+    def test_frame_bytes_sum_the_plane_shapes(self, width, bit_depth, chroma, nbytes):
+        g = vio.VideoGeometry(width, 64, bit_depth=bit_depth, chroma_format=chroma)
+        assert g.frame_bytes() == nbytes
+        assert nbytes == sum(h * w for h, w in g.plane_shapes()) * g.dtype.itemsize
 
     @pytest.mark.parametrize("bit_depth, dtype, bad", [
         (10, np.uint16, 1024), (8, np.uint16, 256), (8, np.int8, -1), (10, np.int16, -1),
